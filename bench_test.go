@@ -1,9 +1,8 @@
 // Package benches holds the repository-root benchmark harness: one
-// benchmark per table and measured claim of the ICDE'93 paper (the
-// experiment index lives in DESIGN.md §3; the recorded paper-vs-measured
-// comparison in EXPERIMENTS.md). Each experiment benchmark prints the
-// paper-style table once, then times the regeneration; the Benchmark*
-// functions further down micro-benchmark the substrates.
+// benchmark per table and measured claim of the ICDE'93 paper. Each
+// experiment benchmark prints the paper-style table once, then times
+// the regeneration; the Benchmark* functions further down
+// micro-benchmark the substrates.
 //
 // Run with:
 //
@@ -11,6 +10,7 @@
 package benches
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -24,8 +24,10 @@ import (
 	"repro/internal/gen"
 	"repro/internal/graph"
 	"repro/internal/relation"
+	"repro/internal/server"
 	"repro/internal/sim"
 	"repro/internal/tc"
+	"repro/pkg/tcq"
 )
 
 // printOnce guards the one-time table printouts across -benchtime
@@ -496,32 +498,68 @@ func BenchmarkBuildStore(b *testing.B) {
 	}
 }
 
-// BenchmarkDSAQuerySequential times sequential disconnection-set
-// queries.
-func BenchmarkDSAQuerySequential(b *testing.B) {
+// inlineLegs is a leg executor that runs every leg synchronously on
+// the dispatching goroutine — the sequential baseline.
+type inlineLegs struct{ st *dsa.Store }
+
+func (inlineLegs) Dispatch(_ int, fn func()) { fn() }
+
+func (l inlineLegs) Full(ctx context.Context, siteID int, entry []graph.NodeID, engine dsa.Engine) (*relation.Relation, tc.Stats, dsa.LegSource, error) {
+	full, stats, err := l.st.ExecuteLegFullCtx(ctx, siteID, entry, engine)
+	return full, stats, dsa.LegSource{}, err
+}
+
+// benchDSAQuery times single-pair Dijkstra queries over benchStore,
+// answered by run.
+func benchDSAQuery(b *testing.B, run func(src, dst graph.NodeID) error) {
 	nodes := benchGraph.Nodes()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		src := nodes[i%len(nodes)]
 		dst := nodes[(i*37+13)%len(nodes)]
-		if _, err := benchStore.Query(src, dst, dsa.EngineDijkstra); err != nil {
+		if err := run(src, dst); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// BenchmarkDSAQueryParallel times the goroutine-per-site executor on
-// the same workload.
+// executeWith answers one pair on benchStore through legs.
+func executeWith(legs dsa.LegExecutor) func(src, dst graph.NodeID) error {
+	return func(src, dst graph.NodeID) error {
+		plan, err := benchStore.NewPlan(src, dst)
+		if err != nil {
+			return err
+		}
+		_, _, err = benchStore.Execute(context.Background(), plan, dsa.EngineDijkstra, legs)
+		return err
+	}
+}
+
+// BenchmarkDSAQuerySequential times disconnection-set queries whose
+// legs run one after another (the inline leg executor).
+func BenchmarkDSAQuerySequential(b *testing.B) {
+	benchDSAQuery(b, executeWith(inlineLegs{benchStore}))
+}
+
+// BenchmarkDSAQueryParallel times the same workload with concurrent
+// legs: the library's default executor (one goroutine per leg) and the
+// serving layer's (per-site worker pools, leg cache off).
 func BenchmarkDSAQueryParallel(b *testing.B) {
-	nodes := benchGraph.Nodes()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		src := nodes[i%len(nodes)]
-		dst := nodes[(i*37+13)%len(nodes)]
-		if _, err := benchStore.QueryParallel(src, dst, dsa.EngineDijkstra); err != nil {
+	b.Run("default", func(b *testing.B) {
+		benchDSAQuery(b, executeWith(benchStore.LocalLegs()))
+	})
+	b.Run("server", func(b *testing.B) {
+		srv, err := server.New(benchStore, server.Config{})
+		if err != nil {
 			b.Fatal(err)
 		}
-	}
+		defer srv.Close()
+		snap := srv.Dataset().Snapshot()
+		benchDSAQuery(b, func(src, dst graph.NodeID) error {
+			_, _, err := srv.RunPair(context.Background(), snap, src, dst, dsa.EngineDijkstra, tcq.ModeCost)
+			return err
+		})
+	})
 }
 
 // BenchmarkSimulatedQuery times the full message-passing simulation.

@@ -17,7 +17,6 @@
 //	tcload -addr http://127.0.0.1:8642 -n 200 -parallel 8
 //	tcload -addr http://127.0.0.1:8642 -n 200 -parallel 8 -repeat 2 -expect-reachable -min-hit-rate 0.05
 //	tcload -addr http://127.0.0.1:8642 -pairs queries.txt -mode connected -engine bitset
-//	tcload -addr http://127.0.0.1:8642 -n 200 -parallel 8 -api v1
 //	tcload -addr http://127.0.0.1:8642 -n 200 -parallel 8 -write-rate 0.1 -expect-reachable
 //	tcload -addr http://127.0.0.1:8642 -n 200 -parallel 8 -write-rate 0.15 \
 //	    -duration 30s -slo-file SLO.json -json slo-report.json
@@ -30,6 +29,8 @@
 // address. The replay oracle then doubles as a cross-node coherence
 // check — every node must answer every pair identically.
 //
+// Every query is one POST /v1/query: -mode query|connected maps onto
+// the request's cost|connectivity mode and -engine onto its engine.
 // The -pairs file holds one "src dst" pair per line; # starts a
 // comment.
 package main
@@ -54,9 +55,8 @@ func main() {
 		parallel   = flag.Int("parallel", 8, "concurrent workers")
 		nodes      = flag.Int("nodes", 0, "random src/dst drawn from [0, nodes); 0 = ask the server's /stats")
 		pairsFile  = flag.String("pairs", "", "file with explicit 'src dst' lines (overrides -n/-nodes)")
-		mode       = flag.String("mode", "query", "query (shortest path) or connected (reachability)")
-		api        = flag.String("api", "legacy", "wire surface: legacy (GET /query) or v1 (POST /v1/query)")
-		engine     = flag.String("engine", "", "per-request engine (empty = server default)")
+		mode       = flag.String("mode", "query", "query (cost mode) or connected (connectivity mode)")
+		engine     = flag.String("engine", "", "per-request engine (empty = the planner decides)")
 		seed       = flag.Int64("seed", 1, "random workload seed")
 		repeat     = flag.Int("repeat", 1, "passes over the same workload (>1 exercises the leg cache)")
 		duration   = flag.Duration("duration", 0, "keep replaying passes until this much wall-clock time elapsed (0 = exactly -repeat passes)")
@@ -80,7 +80,6 @@ func main() {
 		Nodes:           *nodes,
 		Engine:          *engine,
 		Mode:            *mode,
-		API:             *api,
 		Seed:            *seed,
 		Repeat:          *repeat,
 		Duration:        *duration,

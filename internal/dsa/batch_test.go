@@ -96,7 +96,7 @@ func TestApplyEmptyAndUnknownOps(t *testing.T) {
 // the new store the new ones.
 func TestApplyCopyOnWrite(t *testing.T) {
 	st, _ := pathStore(t)
-	before, err := st.Query(0, 8, EngineDijkstra)
+	before, err := query(st, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,14 +115,14 @@ func TestApplyCopyOnWrite(t *testing.T) {
 	if next.Epoch() != 1 || st.Epoch() != 0 {
 		t.Fatalf("epochs: next %d (want 1), old %d (want 0)", next.Epoch(), st.Epoch())
 	}
-	oldAgain, err := st.Query(0, 8, EngineDijkstra)
+	oldAgain, err := query(st, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if oldAgain.Cost != 8 {
 		t.Errorf("old snapshot cost = %v after Apply, want 8 (copy-on-write violated)", oldAgain.Cost)
 	}
-	newRes, err := next.Query(0, 8, EngineDijkstra)
+	newRes, err := query(next, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,8 +266,8 @@ func TestPropertyApplyEqualsFreshBuild(t *testing.T) {
 					src := nodes[rng.Intn(len(nodes))]
 					dst := nodes[rng.Intn(len(nodes))]
 					if problem == ProblemReachability {
-						a, errA := next.Connected(src, dst, EngineBitset)
-						b, errB := fresh.Connected(src, dst, EngineBitset)
+						a, errA := connected(next, src, dst, EngineBitset)
+						b, errB := connected(fresh, src, dst, EngineBitset)
 						if (errA == nil) != (errB == nil) {
 							t.Logf("seed %d: connected(%d,%d): %v vs %v", seed, src, dst, errA, errB)
 							return false
@@ -281,8 +281,8 @@ func TestPropertyApplyEqualsFreshBuild(t *testing.T) {
 						}
 						continue
 					}
-					a, errA := next.Query(src, dst, EngineDijkstra)
-					b, errB := fresh.Query(src, dst, EngineDijkstra)
+					a, errA := query(next, src, dst, EngineDijkstra)
+					b, errB := query(fresh, src, dst, EngineDijkstra)
 					if (errA == nil) != (errB == nil) {
 						t.Logf("seed %d: query(%d,%d): %v vs %v", seed, src, dst, errA, errB)
 						return false
@@ -355,8 +355,8 @@ func FuzzApply(f *testing.F) {
 		src := nodes[rng.Intn(len(nodes))]
 		dst := nodes[rng.Intn(len(nodes))]
 		if problem == ProblemReachability {
-			a, errA := next.Connected(src, dst, EngineBitset)
-			b, errB := fresh.Connected(src, dst, EngineBitset)
+			a, errA := connected(next, src, dst, EngineBitset)
+			b, errB := connected(fresh, src, dst, EngineBitset)
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("connected(%d,%d): %v vs %v", src, dst, errA, errB)
 			}
@@ -365,8 +365,8 @@ func FuzzApply(f *testing.F) {
 			}
 			return
 		}
-		a, errA := next.Query(src, dst, EngineDijkstra)
-		b, errB := fresh.Query(src, dst, EngineDijkstra)
+		a, errA := query(next, src, dst, EngineDijkstra)
+		b, errB := query(fresh, src, dst, EngineDijkstra)
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("query(%d,%d): %v vs %v", src, dst, errA, errB)
 		}

@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,7 +172,7 @@ func TestPlanErrors(t *testing.T) {
 func TestQueryChainCost(t *testing.T) {
 	st, g := pathStore(t)
 	for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive} {
-		res, err := st.Query(0, 8, engine)
+		res, err := query(st, 0, 8, engine)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -195,7 +196,7 @@ func TestQueryChainCost(t *testing.T) {
 
 func TestQuerySameFragmentUsesOneSite(t *testing.T) {
 	st, _ := pathStore(t)
-	res, err := st.Query(0, 2, EngineDijkstra)
+	res, err := query(st, 0, 2, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestQuerySameFragmentUsesOneSite(t *testing.T) {
 
 func TestQuerySourceEqualsTarget(t *testing.T) {
 	st, _ := pathStore(t)
-	res, err := st.Query(4, 4, EngineDijkstra)
+	res, err := query(st, 4, 4, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +234,14 @@ func TestQueryUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Query(0, 11, EngineDijkstra)
+	res, err := query(st, 0, 11, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reachable || !math.IsInf(res.Cost, 1) {
 		t.Errorf("res = %+v, want unreachable", res)
 	}
-	ok, err := st.Connected(0, 11, EngineDijkstra)
+	ok, err := connected(st, 0, 11, EngineDijkstra)
 	if err != nil || ok {
 		t.Errorf("Connected = %v, %v", ok, err)
 	}
@@ -261,14 +262,14 @@ func TestQueryDirectedUnreachable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Query(2, 0, EngineDijkstra)
+	res, err := query(st, 2, 0, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Reachable {
 		t.Error("directed reverse query should be unreachable")
 	}
-	fwd, err := st.Query(0, 2, EngineDijkstra)
+	fwd, err := query(st, 0, 2, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,18 +280,23 @@ func TestQueryDirectedUnreachable(t *testing.T) {
 
 func TestQueryUnknownEngine(t *testing.T) {
 	st, _ := pathStore(t)
-	if _, err := st.Query(0, 8, Engine(42)); err == nil {
-		t.Error("unknown engine accepted")
+	for _, s := range seams(st) {
+		if _, err := runPair(st, s.legs, 0, 8, Engine(42)); !errors.Is(err, ErrUnknownEngine) {
+			t.Errorf("%s: unknown engine: err = %v, want ErrUnknownEngine", s.name, err)
+		}
 	}
 }
 
+// TestQueryParallelMatchesSequential: the library default executor
+// (one goroutine per leg) answers exactly like the inline sequential
+// one.
 func TestQueryParallelMatchesSequential(t *testing.T) {
 	st, _ := pathStore(t)
-	seq, err := st.Query(0, 8, EngineDijkstra)
+	seq, err := runPair(st, inlineLegs{st}, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := st.QueryParallel(0, 8, EngineDijkstra)
+	par, err := runPair(st, st.LocalLegs(), 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +334,7 @@ func TestShortcutCapturesOutsidePath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := st.Query(0, 1, EngineDijkstra)
+	res, err := query(st, 0, 1, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -345,7 +351,7 @@ func TestZeroCostBorderTraversal(t *testing.T) {
 	// the middle fragment at the same node must cost 0, not break the
 	// chain.
 	st, _ := pathStore(t)
-	res, err := st.Query(3, 6, EngineDijkstra)
+	res, err := query(st, 3, 6, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -379,7 +385,7 @@ func TestMaxChainsTruncation(t *testing.T) {
 	if !p.Truncated {
 		t.Error("plan should report truncation")
 	}
-	res, err := st.Query(0, 2, EngineDijkstra)
+	res, err := query(st, 0, 2, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -412,8 +418,8 @@ func buildLinearStore(seed int64, clusters, perCluster, frags int) (*Store, *gra
 // TestPropertyDSAMatchesGlobalDijkstra is the central correctness
 // property of the reproduction: for loosely connected fragmentations,
 // the disconnection set approach returns exactly the global
-// shortest-path cost, for random graphs, random queries, both engines
-// and both executors.
+// shortest-path cost, for random graphs, random queries, both cost
+// engines and every leg executor.
 func TestPropertyDSAMatchesGlobalDijkstra(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -429,24 +435,19 @@ func TestPropertyDSAMatchesGlobalDijkstra(t *testing.T) {
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
 			want := g.Distance(src, dst)
-			for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive} {
-				res, err := st.Query(src, dst, engine)
-				if err != nil {
-					return false
+			for _, s := range seams(st) {
+				for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive} {
+					res, err := runPair(st, s.legs, src, dst, engine)
+					if err != nil {
+						return false
+					}
+					if res.Reachable != !math.IsInf(want, 1) {
+						return false
+					}
+					if res.Reachable && math.Abs(res.Cost-want) > 1e-9 {
+						return false
+					}
 				}
-				if res.Reachable != !math.IsInf(want, 1) {
-					return false
-				}
-				if res.Reachable && math.Abs(res.Cost-want) > 1e-9 {
-					return false
-				}
-			}
-			par, err := st.QueryParallel(src, dst, EngineDijkstra)
-			if err != nil {
-				return false
-			}
-			if par.Reachable && math.Abs(par.Cost-want) > 1e-9 {
-				return false
 			}
 		}
 		return true
@@ -486,7 +487,7 @@ func TestPropertyDSANeverUndershoots(t *testing.T) {
 		for q := 0; q < 3; q++ {
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			res, err := st.Query(src, dst, EngineDijkstra)
+			res, err := query(st, src, dst, EngineDijkstra)
 			if err != nil {
 				return false
 			}
@@ -522,7 +523,7 @@ func TestPropertySameFragmentSingleSite(t *testing.T) {
 			}
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			res, err := st.Query(src, dst, EngineDijkstra)
+			res, err := query(st, src, dst, EngineDijkstra)
 			if err != nil {
 				return false
 			}

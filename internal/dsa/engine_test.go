@@ -1,6 +1,8 @@
 package dsa
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -29,28 +31,29 @@ func TestEngineNames(t *testing.T) {
 }
 
 // TestBitsetEngineRefusesCostQueries: the bitset engine carries
-// presence markers, not costs, so the cost-query entry points must
-// refuse it while Connected accepts it.
+// presence markers, not costs, so the store's cost-only entry point
+// (the pipelined walk) refuses it with a typed error, while the
+// executor accepts it for connectivity under every leg executor.
 func TestBitsetEngineRefusesCostQueries(t *testing.T) {
 	st, _ := pathStore(t)
-	if _, err := st.Query(0, 8, EngineBitset); err == nil {
-		t.Error("Query accepted the connectivity-only bitset engine")
+	if _, err := pipelined(st, 0, 8, EngineBitset); !errors.Is(err, ErrEngineMismatch) {
+		t.Errorf("pipelined walk with the bitset engine: err = %v, want ErrEngineMismatch", err)
 	}
-	if _, err := st.QueryParallel(0, 8, EngineBitset); err == nil {
-		t.Error("QueryParallel accepted the connectivity-only bitset engine")
-	}
-	ok, err := st.Connected(0, 8, EngineBitset)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !ok {
-		t.Error("Connected(0, 8) = false on the 0-…-8 path store")
+	for _, s := range seams(st) {
+		res, err := runPair(st, s.legs, 0, 8, EngineBitset)
+		if err != nil {
+			t.Fatalf("%s: %v", s.name, err)
+		}
+		if !res.Reachable {
+			t.Errorf("%s: bitset connectivity 0→8 = false on the 0-…-8 path store", s.name)
+		}
 	}
 }
 
 // TestPropertyEnginesAgreeOnConnectivity: on shortest-path stores over
 // random loosely connected fragmentations, all three engines give the
-// same Connected answer, which matches global reachability.
+// same connectivity answer under every leg executor, which matches
+// global reachability.
 func TestPropertyEnginesAgreeOnConnectivity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -66,20 +69,15 @@ func TestPropertyEnginesAgreeOnConnectivity(t *testing.T) {
 			if src == dst {
 				want = true // Connected's same-node fast path
 			}
-			for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset, EngineDense} {
-				got, err := st.Connected(src, dst, engine)
-				if err != nil {
-					return false
-				}
-				if got != want {
-					return false
-				}
-				gotP, err := st.ConnectedParallel(src, dst, engine)
-				if err != nil {
-					return false
-				}
-				if gotP != want {
-					return false
+			for _, s := range seams(st) {
+				for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset, EngineDense} {
+					res, err := runPair(st, s.legs, src, dst, engine)
+					if err != nil {
+						return false
+					}
+					if res.Reachable != want {
+						return false
+					}
 				}
 			}
 		}
@@ -91,29 +89,24 @@ func TestPropertyEnginesAgreeOnConnectivity(t *testing.T) {
 }
 
 // TestDenseEngineAnswersCostQueries: the dense engine is cost-capable —
-// Query/QueryParallel accept it and agree with the Dijkstra engine on
+// every leg executor accepts it and agrees with the Dijkstra engine on
 // both the multi-fragment chain and the same-fragment fast path.
 func TestDenseEngineAnswersCostQueries(t *testing.T) {
 	st, _ := pathStore(t)
 	for _, q := range [][2]graph.NodeID{{0, 8}, {1, 2}, {8, 0}, {3, 6}} {
-		want, err := st.Query(q[0], q[1], EngineDijkstra)
+		want, err := query(st, q[0], q[1], EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := st.Query(q[0], q[1], EngineDense)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.Reachable != want.Reachable || math.Abs(got.Cost-want.Cost) > 1e-9 {
-			t.Errorf("query %v: dense (%v, %v), dijkstra (%v, %v)",
-				q, got.Reachable, got.Cost, want.Reachable, want.Cost)
-		}
-		gotP, err := st.QueryParallel(q[0], q[1], EngineDense)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(gotP.Cost-want.Cost) > 1e-9 {
-			t.Errorf("parallel query %v: dense cost %v, want %v", q, gotP.Cost, want.Cost)
+		for _, s := range seams(st) {
+			got, err := runPair(st, s.legs, q[0], q[1], EngineDense)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Reachable != want.Reachable || math.Abs(got.Cost-want.Cost) > 1e-9 {
+				t.Errorf("%s query %v: dense (%v, %v), dijkstra (%v, %v)",
+					s.name, q, got.Reachable, got.Cost, want.Reachable, want.Cost)
+			}
 		}
 	}
 }
@@ -133,11 +126,11 @@ func TestPropertyDenseEngineMatchesDijkstraCosts(t *testing.T) {
 		for q := 0; q < 4; q++ {
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			want, err := st.Query(src, dst, EngineDijkstra)
+			want, err := query(st, src, dst, EngineDijkstra)
 			if err != nil {
 				return false
 			}
-			got, err := st.Query(src, dst, EngineDense)
+			got, err := query(st, src, dst, EngineDense)
 			if err != nil {
 				return false
 			}
@@ -147,7 +140,7 @@ func TestPropertyDenseEngineMatchesDijkstraCosts(t *testing.T) {
 			if want.Reachable && math.Abs(got.Cost-want.Cost) > 1e-9 {
 				return false
 			}
-			pip, err := st.QueryPipelinedEngine(src, dst, EngineDense)
+			pip, err := pipelined(st, src, dst, EngineDense)
 			if err != nil {
 				return false
 			}
@@ -170,11 +163,11 @@ func TestPropertyDenseEngineMatchesDijkstraCosts(t *testing.T) {
 func TestQueryPipelinedEngineRefusals(t *testing.T) {
 	st, _ := pathStore(t)
 	for _, e := range []Engine{EngineSemiNaive, EngineBitset} {
-		if _, err := st.QueryPipelinedEngine(0, 8, e); err == nil {
+		if _, err := pipelined(st, 0, 8, e); err == nil {
 			t.Errorf("pipelined accepted non-vector-seeded engine %v", e)
 		}
 	}
-	res, err := st.QueryPipelinedEngine(0, 8, EngineDense)
+	res, err := pipelined(st, 0, 8, EngineDense)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,18 +199,18 @@ func TestDenseEngineNegativeWeightsErrorNotPanic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st.Query(0, 2, EngineDense); err == nil {
+	if _, err := query(st, 0, 2, EngineDense); err == nil {
 		t.Error("dense query over negative weights returned no error")
 	}
-	if _, err := st.QueryPipelinedEngine(0, 2, EngineDense); err == nil {
+	if _, err := pipelined(st, 0, 2, EngineDense); err == nil {
 		t.Error("pipelined dense query over negative weights returned no error")
 	}
-	if _, _, err := st.ExecuteLegFull(0, []graph.NodeID{0}, EngineDense); err == nil {
-		t.Error("ExecuteLegFull dense over negative weights returned no error")
+	if _, _, err := st.ExecuteLegFullCtx(context.Background(), 0, []graph.NodeID{0}, EngineDense); err == nil {
+		t.Error("ExecuteLegFullCtx dense over negative weights returned no error")
 	}
 	// The semi-naive engine refuses the same input; dijkstra remains
 	// callable (it silently assumes non-negative weights).
-	if _, err := st.Query(0, 2, EngineSemiNaive); err == nil {
+	if _, err := query(st, 0, 2, EngineSemiNaive); err == nil {
 		t.Error("seminaive query over negative weights returned no error")
 	}
 }

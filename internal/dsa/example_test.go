@@ -1,6 +1,7 @@
 package dsa_test
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dsa"
@@ -30,14 +31,18 @@ func buildExampleStore() (*dsa.Store, error) {
 }
 
 // Example demonstrates the full disconnection-set pipeline: build the
-// store (complementary information), plan, query in parallel, and read
-// the answer.
+// store (complementary information), plan, execute the legs in
+// parallel, and read the answer.
 func Example() {
 	store, err := buildExampleStore()
 	if err != nil {
 		panic(err)
 	}
-	res, err := store.QueryParallel(0, 6, dsa.EngineDijkstra)
+	plan, err := store.NewPlan(0, 6)
+	if err != nil {
+		panic(err)
+	}
+	res, _, err := store.Execute(context.Background(), plan, dsa.EngineDijkstra, store.LocalLegs())
 	if err != nil {
 		panic(err)
 	}
@@ -60,18 +65,23 @@ func ExampleStore_QueryPath() {
 	// Output: [1 2 3 4 5]
 }
 
-// ExampleStore_Connected answers the paper's "Is A connected to B?"
-// query.
-func ExampleStore_Connected() {
+// ExampleStore_Execute answers the paper's "Is A connected to B?"
+// query with the connectivity-only bitset engine, one goroutine per
+// leg.
+func ExampleStore_Execute() {
 	store, err := buildExampleStore()
 	if err != nil {
 		panic(err)
 	}
-	ok, err := store.Connected(0, 6, dsa.EngineSemiNaive)
+	plan, err := store.NewPlan(0, 6)
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(ok)
+	res, _, err := store.Execute(context.Background(), plan, dsa.EngineBitset, store.LocalLegs())
+	if err != nil {
+		panic(err)
+	}
+	fmt.Println(res.Reachable)
 	// Output: true
 }
 

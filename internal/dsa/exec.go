@@ -173,72 +173,11 @@ type Result struct {
 	TuplesShipped int
 }
 
-// Query answers a shortest-path query sequentially: plan, run every
-// leg one after another, assemble. Stores built for ProblemReachability
-// refuse cost queries — their complementary information carries only
-// connectivity.
-func (st *Store) Query(source, target graph.NodeID, engine Engine) (*Result, error) {
-	if st.problem != ProblemShortestPath {
-		return nil, fmt.Errorf("dsa: %w: store precomputed for reachability cannot answer cost queries", ErrProblemMismatch)
-	}
-	if engine == EngineBitset {
-		return nil, fmt.Errorf("dsa: %w: engine bitset computes connectivity only; use Connected", ErrEngineMismatch)
-	}
-	return st.run(source, target, engine, false)
-}
-
-// QueryParallel answers a shortest-path query with one goroutine per
-// site, the goroutine-per-processor realisation of the paper's
-// "neither communication nor synchronization is required during the
-// first phase of the computation".
-func (st *Store) QueryParallel(source, target graph.NodeID, engine Engine) (*Result, error) {
-	if st.problem != ProblemShortestPath {
-		return nil, fmt.Errorf("dsa: %w: store precomputed for reachability cannot answer cost queries", ErrProblemMismatch)
-	}
-	if engine == EngineBitset {
-		return nil, fmt.Errorf("dsa: %w: engine bitset computes connectivity only; use Connected", ErrEngineMismatch)
-	}
-	return st.run(source, target, engine, true)
-}
-
-// Connected reports whether target is reachable from source; it is the
-// paper's "Is A connected to B?" query, sharing the whole pipeline. It
-// works on both problem types (a shortest-path store's complementary
-// information subsumes connectivity).
-func (st *Store) Connected(source, target graph.NodeID, engine Engine) (bool, error) {
-	res, err := st.run(source, target, engine, false)
-	if err != nil {
-		return false, err
-	}
-	return res.Reachable, nil
-}
-
-// ConnectedParallel answers the connectivity query with one goroutine
-// per site, the parallel counterpart of Connected. Like Connected it
-// works on both problem types and accepts every engine, including the
-// connectivity-only EngineBitset.
-func (st *Store) ConnectedParallel(source, target graph.NodeID, engine Engine) (bool, error) {
-	res, err := st.run(source, target, engine, true)
-	if err != nil {
-		return false, err
-	}
-	return res.Reachable, nil
-}
-
-// run executes the full pipeline.
-func (st *Store) run(source, target graph.NodeID, engine Engine, parallel bool) (*Result, error) {
-	plan, err := st.NewPlan(source, target)
-	if err != nil {
-		return nil, err
-	}
-	return st.RunPlan(plan, engine, parallel)
-}
-
 // PlanResult initialises the Result scaffolding every executor shares
-// (RunPlan, QueryPipelined, the serving layer's pooled executor): the
-// echoed query fields plus the source==target and no-chain fast paths.
-// done reports that the result is already complete and phase 1 can be
-// skipped; Elapsed is left to the caller.
+// (Execute and the pipelined chain walk): the echoed query fields plus
+// the source==target and no-chain fast paths. done reports that the
+// result is already complete and phase 1 can be skipped; Elapsed is
+// left to the caller.
 func (st *Store) PlanResult(plan *Plan) (res *Result, done bool) {
 	res = &Result{
 		Source:           plan.Source,
@@ -296,97 +235,139 @@ func (st *Store) FinishPlan(plan *Plan, results []*LegResult, res *Result) error
 	return nil
 }
 
-// RunPlan executes a prepared plan: phase 1 per-site legs (concurrent
-// when parallel is set), then assembly. External planners (package phe)
-// pair it with PlanChains.
-func (st *Store) RunPlan(plan *Plan, engine Engine, parallel bool) (*Result, error) {
-	return st.RunPlanCtx(context.Background(), plan, engine, parallel)
+// LegSource reports where one leg's unfiltered relation came from.
+type LegSource struct {
+	// Hit reports a leg-cache hit (for a remote leg, the owner's
+	// cache verdict).
+	Hit bool
+	// Fallback reports degraded-mode execution: the site's remote
+	// owner was unreachable and the leg ran locally instead.
+	Fallback bool
 }
 
-// RunPlanCtx is RunPlan with cancellation: sites observe ctx between
-// legs and the kernels observe it between fixpoint rounds / levels, so
-// a canceled query returns ErrCanceled promptly instead of finishing
-// the remaining work.
-func (st *Store) RunPlanCtx(ctx context.Context, plan *Plan, engine Engine, parallel bool) (*Result, error) {
+// LegExecutor is the seam between Execute and the deployment it runs
+// on. It decides only where and from what each leg runs; Execute owns
+// everything else — cancellation, the exit-set selection, per-site
+// accounting and assembly — so every deployment answers through the
+// same code.
+type LegExecutor interface {
+	// Dispatch schedules fn, one leg of siteID. fn signals its own
+	// completion; Dispatch only guarantees that it eventually runs.
+	Dispatch(siteID int, fn func())
+	// Full returns every (src, dst, cost) fact derivable from entry on
+	// the site — the unfiltered leg relation ExecuteLegFullCtx computes
+	// — together with its stats and where it came from.
+	Full(ctx context.Context, siteID int, entry []graph.NodeID, engine Engine) (*relation.Relation, tc.Stats, LegSource, error)
+}
+
+// LocalLegs returns the library's default leg executor: every leg on
+// its own goroutine, computed by ExecuteLegFullCtx on this store — the
+// goroutine-per-processor realisation of the paper's "neither
+// communication nor synchronization is required during the first
+// phase of the computation".
+func (st *Store) LocalLegs() LegExecutor { return localLegs{st} }
+
+type localLegs struct{ st *Store }
+
+func (localLegs) Dispatch(_ int, fn func()) { go fn() }
+
+func (l localLegs) Full(ctx context.Context, siteID int, entry []graph.NodeID, engine Engine) (*relation.Relation, tc.Stats, LegSource, error) {
+	full, stats, err := l.st.ExecuteLegFullCtx(ctx, siteID, entry, engine)
+	return full, stats, LegSource{}, err
+}
+
+// ExecStats reports how the legs of one Execute call were sourced.
+type ExecStats struct {
+	// CacheHits and CacheMisses count the legs whose relation did and
+	// did not come from a cache.
+	CacheHits, CacheMisses int
+	// FallbackSites lists the site of every leg that ran in degraded
+	// local mode (a site repeats when several of its legs did).
+	FallbackSites []int
+}
+
+// Execute answers a prepared plan: phase 1 runs every leg through legs
+// (Dispatch decides where, Full from what) and specialises it with
+// FilterLegFacts, phase 2 assembles the small leg relations. Legs
+// observe ctx before they start — a canceled query's queued legs
+// become no-ops returning ErrCanceled — and the kernels observe it
+// while they run. The first failed leg's error (in plan order) is
+// returned once every dispatched leg has finished.
+func (st *Store) Execute(ctx context.Context, plan *Plan, engine Engine, legs LegExecutor) (*Result, ExecStats, error) {
+	var es ExecStats
 	if !ValidEngine(engine) {
-		return nil, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
+		return nil, es, fmt.Errorf("dsa: %w %d", ErrUnknownEngine, engine)
 	}
 	start := time.Now()
 	res, done := st.PlanResult(plan)
 	if done {
 		res.Elapsed = time.Since(start)
-		return res, nil
+		return res, es, nil
 	}
 
-	// Phase 1: execute legs, grouped per site (a site runs its legs
-	// serially; distinct sites run concurrently when parallel).
-	bySite := make(map[int][]int)
-	for i, l := range plan.Legs {
-		bySite[l.SiteID] = append(bySite[l.SiteID], i)
-	}
 	results := make([]*LegResult, len(plan.Legs))
-	runSite := func(siteID int, legIdxs []int) error {
-		for _, i := range legIdxs {
+	sources := make([]LegSource, len(plan.Legs))
+	errs := make([]error, len(plan.Legs))
+	var wg sync.WaitGroup
+	wg.Add(len(plan.Legs))
+	for i, leg := range plan.Legs {
+		legs.Dispatch(leg.SiteID, func() {
+			defer wg.Done()
 			if ctx.Err() != nil {
-				return canceledErr(ctx)
+				errs[i] = canceledErr(ctx)
+				return
 			}
-			lr, err := st.ExecuteLegCtx(ctx, plan.Legs[i], engine)
+			t0 := time.Now()
+			full, stats, src, err := legs.Full(ctx, leg.SiteID, leg.Entry, engine)
 			if err != nil {
-				return err
+				errs[i] = err
+				return
 			}
-			results[i] = lr
-		}
-		return nil
+			sources[i] = src
+			results[i], errs[i] = filterLeg(leg, full, stats, t0)
+		})
 	}
-	if parallel {
-		var wg sync.WaitGroup
-		errs := make(chan error, len(bySite))
-		for siteID, idxs := range bySite {
-			wg.Add(1)
-			go func(id int, ix []int) {
-				defer wg.Done()
-				if err := runSite(id, ix); err != nil {
-					errs <- err
-				}
-			}(siteID, idxs)
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return nil, es, err
 		}
-		wg.Wait()
-		close(errs)
-		if err := <-errs; err != nil {
-			return nil, err
+	}
+	for i, src := range sources {
+		if src.Hit {
+			es.CacheHits++
+		} else {
+			es.CacheMisses++
 		}
-	} else {
-		for _, siteID := range plan.SitesInvolved() {
-			if err := runSite(siteID, bySite[siteID]); err != nil {
-				return nil, err
-			}
+		if src.Fallback {
+			es.FallbackSites = append(es.FallbackSites, plan.Legs[i].SiteID)
 		}
 	}
 
 	// Phase 2: accounting + assembly.
 	if err := st.FinishPlan(plan, results, res); err != nil {
-		return nil, err
+		return nil, es, err
 	}
 	res.Elapsed = time.Since(start)
-	return res, nil
+	return res, es, nil
 }
 
-// ExecuteLeg executes one leg on its site with the chosen engine. It is
-// the unit of work a (real or simulated) processor performs; package
-// sim schedules these across simulated sites.
-func (st *Store) ExecuteLeg(leg Leg, engine Engine) (*LegResult, error) {
-	return st.ExecuteLegCtx(context.Background(), leg, engine)
-}
-
-// ExecuteLegCtx is ExecuteLeg with cancellation threaded into the
-// engine kernels (between Dijkstra sources, fixpoint rounds and
-// propagation levels).
+// ExecuteLegCtx executes one leg on its site with the chosen engine:
+// ExecuteLegFullCtx followed by FilterLegFacts. It is the unit of work
+// a simulated processor performs; package sim schedules these across
+// simulated sites.
 func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*LegResult, error) {
 	t0 := time.Now()
 	full, stats, err := st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine)
 	if err != nil {
 		return nil, err
 	}
+	return filterLeg(leg, full, stats, t0)
+}
+
+// filterLeg specialises an unfiltered leg relation to leg and stamps
+// the site-local time since t0.
+func filterLeg(leg Leg, full *relation.Relation, stats tc.Stats, t0 time.Time) (*LegResult, error) {
 	out, err := FilterLegFacts(full, leg)
 	if err != nil {
 		return nil, err
@@ -395,7 +376,7 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 	return &LegResult{Leg: leg, Rel: out, Stats: stats, Took: time.Since(t0)}, nil
 }
 
-// ExecuteLegFull runs a leg engine from an entry set WITHOUT the
+// ExecuteLegFullCtx runs a leg engine from an entry set WITHOUT the
 // exit-set selection: every (src, dst, cost) fact derivable from the
 // entry nodes on the site's augmented fragment. This is the memoizable
 // unit of leg execution — the expensive part of a leg depends only on
@@ -403,16 +384,12 @@ func (st *Store) ExecuteLegCtx(ctx context.Context, leg Leg, engine Engine) (*Le
 // so a serving layer can cache the full relation under that key and
 // specialise it per query with FilterLegFacts. For EngineBitset the
 // cost column carries the presence marker 1 (the relation is a
-// connectivity table, matching ExecuteLeg's convention).
-func (st *Store) ExecuteLegFull(siteID int, entry []graph.NodeID, engine Engine) (*relation.Relation, tc.Stats, error) {
-	return st.ExecuteLegFullCtx(context.Background(), siteID, entry, engine)
-}
-
-// ExecuteLegFullCtx is ExecuteLegFull with cancellation threaded into
-// the engine kernels: the per-entry Dijkstra loop checks ctx between
-// sources, and the relational, bitset and dense kernels observe it
-// between fixpoint rounds / propagation levels. A canceled leg returns
-// ErrCanceled.
+// connectivity table).
+//
+// Cancellation is threaded into the engine kernels: the per-entry
+// Dijkstra loop checks ctx between sources, and the relational, bitset
+// and dense kernels observe it between fixpoint rounds / propagation
+// levels. A canceled leg returns ErrCanceled.
 func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []graph.NodeID, engine Engine) (*relation.Relation, tc.Stats, error) {
 	if siteID < 0 || siteID >= len(st.sites) {
 		return nil, tc.Stats{}, fmt.Errorf("dsa: %w: leg site %d out of range", ErrUnknownSite, siteID)
@@ -474,12 +451,11 @@ func (st *Store) ExecuteLegFullCtx(ctx context.Context, siteID int, entry []grap
 	return full, stats, nil
 }
 
-// FilterLegFacts specialises ExecuteLegFull output to one leg: the
+// FilterLegFacts specialises ExecuteLegFullCtx output to one leg: the
 // exit-set selection plus the zero-cost facts for entry nodes that are
-// themselves exit nodes. ExecuteLegFull followed by FilterLegFacts
-// produces exactly the relation ExecuteLeg computes directly (tuple
-// order aside), so cached full relations and freshly executed legs
-// assemble to identical answers.
+// themselves exit nodes. Every executor applies it after the leg's
+// unfiltered relation is obtained, so cached full relations and
+// freshly executed legs assemble to identical answers.
 func FilterLegFacts(full *relation.Relation, leg Leg) (*relation.Relation, error) {
 	out, err := full.SelectInKeys("dst", relation.NodeKeySet(leg.Exit))
 	if err != nil {

@@ -67,24 +67,26 @@ func TestPropertyAllAlgorithmsEndToEnd(t *testing.T) {
 			for q := 0; q < 3; q++ {
 				src := nodes[rng.Intn(len(nodes))]
 				dst := nodes[rng.Intn(len(nodes))]
-				res, err := st.QueryParallel(src, dst, EngineDijkstra)
-				if err != nil {
-					return false
-				}
 				want := g.Distance(src, dst)
-				if res.Reachable && math.IsInf(want, 1) {
-					return false // phantom reachability is never allowed
-				}
-				if res.Reachable && res.Cost < want-1e-9 {
-					return false // undershoot is never allowed
-				}
-				if loose {
-					// Exactness on loosely connected fragmentations.
-					if res.Reachable != !math.IsInf(want, 1) {
+				for _, s := range seams(st) {
+					res, err := runPair(st, s.legs, src, dst, EngineDijkstra)
+					if err != nil {
 						return false
 					}
-					if res.Reachable && math.Abs(res.Cost-want) > 1e-9 {
-						return false
+					if res.Reachable && math.IsInf(want, 1) {
+						return false // phantom reachability is never allowed
+					}
+					if res.Reachable && res.Cost < want-1e-9 {
+						return false // undershoot is never allowed
+					}
+					if loose {
+						// Exactness on loosely connected fragmentations.
+						if res.Reachable != !math.IsInf(want, 1) {
+							return false
+						}
+						if res.Reachable && math.Abs(res.Cost-want) > 1e-9 {
+							return false
+						}
 					}
 				}
 			}
@@ -120,11 +122,11 @@ func TestPipelineDeterminism(t *testing.T) {
 	for q := 0; q < 5; q++ {
 		src := nodes[(q*13)%len(nodes)]
 		dst := nodes[(q*29+7)%len(nodes)]
-		r1, err := st1.Query(src, dst, EngineDijkstra)
+		r1, err := query(st1, src, dst, EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r2, err := st2.Query(src, dst, EngineDijkstra)
+		r2, err := query(st2, src, dst, EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +163,7 @@ func TestStressManyFragments(t *testing.T) {
 	if got := st.Fragmentation().NumFragments(); got != 16 {
 		t.Fatalf("fragments = %d", got)
 	}
-	res, err := st.QueryParallel(0, n, EngineDijkstra)
+	res, err := query(st, 0, n, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,8 +180,9 @@ func TestStressManyFragments(t *testing.T) {
 
 func TestConcurrentQueriesAreSafe(t *testing.T) {
 	// Stores are immutable at query time; many goroutines hammering the
-	// same store must agree with the sequential answers (run under
-	// -race in CI to catch data races).
+	// same store through the default executor must agree with the
+	// inline sequential answers (run under -race in CI to catch data
+	// races).
 	g, err := gen.Transportation(gen.TransportConfig{Clusters: 3, Cluster: gen.Defaults(12, 55)})
 	if err != nil {
 		t.Fatal(err)
@@ -202,7 +205,7 @@ func TestConcurrentQueriesAreSafe(t *testing.T) {
 	for i := range queries {
 		src := nodes[(i*7)%len(nodes)]
 		dst := nodes[(i*13+3)%len(nodes)]
-		res, err := st.Query(src, dst, EngineDijkstra)
+		res, err := runPair(st, inlineLegs{st}, src, dst, EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -216,7 +219,7 @@ func TestConcurrentQueriesAreSafe(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 8; i++ {
 				qq := queries[(worker*8+i)%len(queries)]
-				res, err := st.QueryParallel(qq.src, qq.dst, EngineDijkstra)
+				res, err := query(st, qq.src, qq.dst, EngineDijkstra)
 				if err != nil {
 					errs <- err
 					return

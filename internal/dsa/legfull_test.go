@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"context"
 	"math/rand"
 	"sort"
 	"strings"
@@ -22,10 +23,11 @@ func tupleKeys(r *relation.Relation) string {
 }
 
 // TestExecuteLegFullMatchesExecuteLeg is the contract the serving
-// layer's leg-result cache rests on: ExecuteLegFull + FilterLegFacts
-// must produce exactly the facts ExecuteLeg computes directly, for
+// layer's leg-result cache rests on: ExecuteLegFullCtx + FilterLegFacts
+// must produce exactly the facts ExecuteLegCtx computes directly, for
 // every engine and every leg of real plans.
 func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
+	ctx := context.Background()
 	for _, seed := range []int64{1, 7, 23} {
 		rng := rand.New(rand.NewSource(seed))
 		st, g, err := buildLinearStore(seed, 3, 10, 3)
@@ -42,13 +44,13 @@ func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 			}
 			for _, leg := range plan.Legs {
 				for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset} {
-					direct, err := st.ExecuteLeg(leg, engine)
+					direct, err := st.ExecuteLegCtx(ctx, leg, engine)
 					if err != nil {
-						t.Fatalf("ExecuteLeg(%v, %v): %v", leg, engine, err)
+						t.Fatalf("ExecuteLegCtx(%v, %v): %v", leg, engine, err)
 					}
-					full, _, err := st.ExecuteLegFull(leg.SiteID, leg.Entry, engine)
+					full, _, err := st.ExecuteLegFullCtx(ctx, leg.SiteID, leg.Entry, engine)
 					if err != nil {
-						t.Fatalf("ExecuteLegFull(%d, %v, %v): %v", leg.SiteID, leg.Entry, engine, err)
+						t.Fatalf("ExecuteLegFullCtx(%d, %v, %v): %v", leg.SiteID, leg.Entry, engine, err)
 					}
 					filtered, err := FilterLegFacts(full, leg)
 					if err != nil {
@@ -66,42 +68,46 @@ func TestExecuteLegFullMatchesExecuteLeg(t *testing.T) {
 
 func TestExecuteLegFullValidation(t *testing.T) {
 	st, _ := pathStore(t)
-	if _, _, err := st.ExecuteLegFull(-1, nil, EngineDijkstra); err == nil {
+	ctx := context.Background()
+	if _, _, err := st.ExecuteLegFullCtx(ctx, -1, nil, EngineDijkstra); err == nil {
 		t.Error("negative site accepted")
 	}
-	if _, _, err := st.ExecuteLegFull(99, nil, EngineDijkstra); err == nil {
+	if _, _, err := st.ExecuteLegFullCtx(ctx, 99, nil, EngineDijkstra); err == nil {
 		t.Error("out-of-range site accepted")
 	}
-	if _, _, err := st.ExecuteLegFull(0, nil, Engine(42)); err == nil {
+	if _, _, err := st.ExecuteLegFullCtx(ctx, 0, nil, Engine(42)); err == nil {
 		t.Error("unknown engine accepted")
 	}
 }
 
 // TestEpochAdvancesOnUpdate pins the invalidation signal the serving
-// layer's cache keys on.
+// layer's cache keys on: each applied batch yields the next epoch, and
+// no store's own epoch ever changes.
 func TestEpochAdvancesOnUpdate(t *testing.T) {
-	st, _ := pathStore(t)
-	if st.Epoch() != 0 {
-		t.Fatalf("fresh store epoch = %d, want 0", st.Epoch())
+	st0, _ := pathStore(t)
+	if st0.Epoch() != 0 {
+		t.Fatalf("fresh store epoch = %d, want 0", st0.Epoch())
 	}
 	e := graph.Edge{From: 0, To: 2, Weight: 1}
-	if _, err := st.InsertEdge(0, e); err != nil {
+	st1, _, err := apply1(st0, OpInsert, 0, e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch() != 1 {
-		t.Fatalf("epoch after insert = %d, want 1", st.Epoch())
+	if st1.Epoch() != 1 {
+		t.Fatalf("epoch after insert = %d, want 1", st1.Epoch())
 	}
-	if _, err := st.DeleteEdge(0, e); err != nil {
+	st2, _, err := apply1(st1, OpDelete, 0, e)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Epoch() != 2 {
-		t.Fatalf("epoch after delete = %d, want 2", st.Epoch())
+	if st2.Epoch() != 2 {
+		t.Fatalf("epoch after delete = %d, want 2", st2.Epoch())
 	}
-	// A refused update must not advance the epoch.
-	if _, err := st.DeleteEdge(0, e); err == nil {
-		t.Fatal("double delete accepted")
+	// A refused update yields no new generation.
+	if next, _, err := apply1(st2, OpDelete, 0, e); err == nil || next != nil {
+		t.Fatalf("double delete: next %v, err %v; want refusal", next, err)
 	}
-	if st.Epoch() != 2 {
-		t.Fatalf("epoch after refused update = %d, want 2", st.Epoch())
+	if st0.Epoch() != 0 || st1.Epoch() != 1 || st2.Epoch() != 2 {
+		t.Fatalf("epochs moved under their stores: %d, %d, %d", st0.Epoch(), st1.Epoch(), st2.Epoch())
 	}
 }

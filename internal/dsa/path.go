@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -21,7 +22,7 @@ type Route struct {
 }
 
 // QueryPath answers a shortest-path query and reconstructs the actual
-// route. It runs the standard (sequential, Dijkstra-engine) pipeline
+// route. It runs the standard pipeline with the Dijkstra engine
 // and then expands the winning chain: for each leg the per-site
 // predecessor tree yields the fragment-local node sequence, and hops
 // that used a complementary shortcut are expanded into the precomputed
@@ -34,7 +35,11 @@ func (st *Store) QueryPath(source, target graph.NodeID) (*Result, *Route, error)
 	if st.problem != ProblemShortestPath {
 		return nil, nil, fmt.Errorf("dsa: %w: store precomputed for reachability cannot reconstruct routes", ErrProblemMismatch)
 	}
-	res, err := st.Query(source, target, EngineDijkstra)
+	plan, err := st.NewPlan(source, target)
+	if err != nil {
+		return nil, nil, err
+	}
+	res, _, err := st.Execute(context.Background(), plan, EngineDijkstra, st.LocalLegs())
 	if err != nil {
 		return nil, nil, err
 	}

@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -28,7 +29,7 @@ func TestReachabilityStoreConnected(t *testing.T) {
 	if rs.Problem() != ProblemReachability {
 		t.Fatalf("problem = %v", rs.Problem())
 	}
-	ok, err := rs.Connected(0, 8, EngineDijkstra)
+	ok, err := connected(rs, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,16 +38,18 @@ func TestReachabilityStoreConnected(t *testing.T) {
 	}
 }
 
+// TestReachabilityStoreRefusesCostQueries: the store's cost-only entry
+// points (the pipelined walk and route reconstruction) refuse a
+// reachability store with a typed error.
 func TestReachabilityStoreRefusesCostQueries(t *testing.T) {
 	rs, _ := reachStore(t)
-	if _, err := rs.Query(0, 8, EngineDijkstra); err == nil {
-		t.Error("cost query accepted on reachability store")
+	for _, e := range []Engine{EngineDijkstra, EngineDense} {
+		if _, err := pipelined(rs, 0, 8, e); !errors.Is(err, ErrProblemMismatch) {
+			t.Errorf("pipelined %v cost query on reachability store: err = %v, want ErrProblemMismatch", e, err)
+		}
 	}
-	if _, err := rs.QueryParallel(0, 8, EngineDijkstra); err == nil {
-		t.Error("parallel cost query accepted on reachability store")
-	}
-	if _, _, err := rs.QueryPath(0, 8); err == nil {
-		t.Error("route query accepted on reachability store")
+	if _, _, err := rs.QueryPath(0, 8); !errors.Is(err, ErrProblemMismatch) {
+		t.Errorf("route query on reachability store: err = %v, want ErrProblemMismatch", err)
 	}
 }
 
@@ -68,11 +71,11 @@ func TestReachabilityPreprocessingIsBFS(t *testing.T) {
 	nodes := g.Nodes()
 	for _, src := range nodes[:3] {
 		for _, dst := range nodes[len(nodes)-3:] {
-			a, err := st.Connected(src, dst, EngineDijkstra)
+			a, err := connected(st, src, dst, EngineDijkstra)
 			if err != nil {
 				t.Fatal(err)
 			}
-			b, err := rs.Connected(src, dst, EngineDijkstra)
+			b, err := connected(rs, src, dst, EngineDijkstra)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -106,11 +109,11 @@ func TestReachabilityDirectedAsymmetry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fwd, err := rs.Connected(0, 2, EngineDijkstra)
+	fwd, err := connected(rs, 0, 2, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := rs.Connected(2, 0, EngineDijkstra)
+	back, err := connected(rs, 2, 0, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +149,7 @@ func TestPropertyReachabilityMatchesGlobal(t *testing.T) {
 			dst := nodes[rng.Intn(len(nodes))]
 			_, want := g.Reachable(src)[dst]
 			for _, engine := range []Engine{EngineDijkstra, EngineSemiNaive, EngineBitset} {
-				got, err := rs.Connected(src, dst, engine)
+				got, err := connected(rs, src, dst, engine)
 				if err != nil {
 					return false
 				}

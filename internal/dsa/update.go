@@ -1,14 +1,7 @@
 package dsa
 
-import (
-	"context"
-	"errors"
-
-	"repro/internal/graph"
-)
-
-// UpdateStats reports the cost of applying one legacy single-op update
-// — the paper's acknowledged weakness: "the disadvantage of the
+// UpdateStats reports the cost of applying one single-op update — the
+// paper's acknowledged weakness: "the disadvantage of the
 // disconnection set approach is mainly due to the pre-processing
 // required for building the complementary information and to the
 // careful treatment of updates. … As long as updates are not too
@@ -25,42 +18,4 @@ type UpdateStats struct {
 	// LocalOnly reports that the update stayed within one site (no
 	// complementary information could have changed).
 	LocalOnly bool
-}
-
-// InsertEdge adds a directed edge to fragment fragID and swaps the
-// incrementally rebuilt deployment into the receiver — the legacy
-// single-op wrapper over Apply. Both endpoints must already be nodes
-// of the base graph. Because it overwrites the receiver in place, it
-// requires external serialisation against concurrent readers; prefer
-// Apply, which leaves the receiver untouched and returns a new store
-// readers can be switched to atomically.
-func (st *Store) InsertEdge(fragID int, e graph.Edge) (UpdateStats, error) {
-	return st.applyInPlace(EdgeOp{Kind: OpInsert, Frag: fragID, Edge: e})
-}
-
-// DeleteEdge removes one occurrence of a directed edge from fragment
-// fragID — the inverse of InsertEdge, with the same in-place swap and
-// serialisation caveat.
-func (st *Store) DeleteEdge(fragID int, e graph.Edge) (UpdateStats, error) {
-	return st.applyInPlace(EdgeOp{Kind: OpDelete, Frag: fragID, Edge: e})
-}
-
-// applyInPlace runs a single-op batch and overwrites the receiver with
-// the result, unwrapping the batch envelope to the op's own typed
-// error so the historical error shapes survive.
-func (st *Store) applyInPlace(op EdgeOp) (UpdateStats, error) {
-	next, bs, err := st.Apply(context.Background(), []EdgeOp{op})
-	if err != nil {
-		var be *BatchError
-		if errors.As(err, &be) && len(be.Ops) == 1 {
-			return UpdateStats{}, be.Ops[0].Err
-		}
-		return UpdateStats{}, err
-	}
-	*st = *next
-	return UpdateStats{
-		RecomputedSets: bs.RecomputedSets,
-		DijkstraRuns:   bs.DijkstraRuns,
-		LocalOnly:      bs.LocalOnly,
-	}, nil
 }

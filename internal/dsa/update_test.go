@@ -1,6 +1,7 @@
 package dsa
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,7 +13,7 @@ import (
 
 func TestInsertEdgeShortensPaths(t *testing.T) {
 	st, _ := pathStore(t)
-	before, err := st.Query(0, 8, EngineDijkstra)
+	before, err := query(st, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -22,14 +23,14 @@ func TestInsertEdgeShortensPaths(t *testing.T) {
 	// A new express edge 1→7 inside... 1 is in fragment 0, 7 in
 	// fragment 2; assign it to fragment 0 (its node set then includes 7
 	// — a new disconnection set appears).
-	stats, err := st.InsertEdge(0, graph.Edge{From: 1, To: 7, Weight: 1})
+	st, stats, err := apply1(st, OpInsert, 0, graph.Edge{From: 1, To: 7, Weight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.DijkstraRuns == 0 {
 		t.Error("insert should have rebuilt complementary information")
 	}
-	after, err := st.Query(0, 8, EngineDijkstra)
+	after, err := query(st, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,13 +45,13 @@ func TestInsertEdgeShortensPaths(t *testing.T) {
 
 func TestInsertEdgeValidation(t *testing.T) {
 	st, _ := pathStore(t)
-	if _, err := st.InsertEdge(99, graph.Edge{From: 0, To: 1, Weight: 1}); err == nil {
+	if _, _, err := apply1(st, OpInsert, 99, graph.Edge{From: 0, To: 1, Weight: 1}); err == nil {
 		t.Error("bad fragment accepted")
 	}
-	if _, err := st.InsertEdge(0, graph.Edge{From: 0, To: 999, Weight: 1}); err == nil {
+	if _, _, err := apply1(st, OpInsert, 0, graph.Edge{From: 0, To: 999, Weight: 1}); err == nil {
 		t.Error("unknown endpoint accepted")
 	}
-	if _, err := st.InsertEdge(0, graph.Edge{From: 0, To: 1, Weight: -2}); err == nil {
+	if _, _, err := apply1(st, OpInsert, 0, graph.Edge{From: 0, To: 1, Weight: -2}); err == nil {
 		t.Error("negative weight accepted")
 	}
 }
@@ -60,7 +61,7 @@ func TestDeleteEdgeLengthensPaths(t *testing.T) {
 	// Delete the forward edge 4→5 in the middle fragment: 0 can no
 	// longer reach 8 (the reverse edge 5→4 remains but points the wrong
 	// way).
-	stats, err := st.DeleteEdge(1, graph.Edge{From: 4, To: 5, Weight: 1})
+	st, stats, err := apply1(st, OpDelete, 1, graph.Edge{From: 4, To: 5, Weight: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +72,7 @@ func TestDeleteEdgeLengthensPaths(t *testing.T) {
 	if stats.DijkstraRuns != 0 {
 		t.Errorf("delete ran %d global searches on vacuous complementary tables, want 0", stats.DijkstraRuns)
 	}
-	res, err := st.Query(0, 8, EngineDijkstra)
+	res, err := query(st, 0, 8, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +80,7 @@ func TestDeleteEdgeLengthensPaths(t *testing.T) {
 		t.Errorf("0→8 should be unreachable after deleting 4→5, got cost %v", res.Cost)
 	}
 	// The reverse direction is unaffected.
-	rev, err := st.Query(8, 0, EngineDijkstra)
+	rev, err := query(st, 8, 0, EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,10 +91,10 @@ func TestDeleteEdgeLengthensPaths(t *testing.T) {
 
 func TestDeleteEdgeValidation(t *testing.T) {
 	st, _ := pathStore(t)
-	if _, err := st.DeleteEdge(99, graph.Edge{From: 0, To: 1, Weight: 1}); err == nil {
+	if _, _, err := apply1(st, OpDelete, 99, graph.Edge{From: 0, To: 1, Weight: 1}); err == nil {
 		t.Error("bad fragment accepted")
 	}
-	if _, err := st.DeleteEdge(1, graph.Edge{From: 0, To: 1, Weight: 1}); err == nil {
+	if _, _, err := apply1(st, OpDelete, 1, graph.Edge{From: 0, To: 1, Weight: 1}); err == nil {
 		t.Error("edge not in fragment accepted")
 	}
 
@@ -111,14 +112,14 @@ func TestDeleteEdgeValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := st2.DeleteEdge(0, e1); err == nil {
+	if _, _, err := apply1(st2, OpDelete, 0, e1); err == nil {
 		t.Error("emptying a fragment accepted")
 	}
 }
 
 // TestPropertyUpdatesPreserveExactness: after a random series of
-// inserts and deletes, the store still answers exactly like global
-// Dijkstra on its (current) base graph.
+// single-op Apply inserts and deletes, the latest store still answers
+// exactly like global Dijkstra on its base graph.
 func TestPropertyUpdatesPreserveExactness(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -137,7 +138,7 @@ func TestPropertyUpdatesPreserveExactness(t *testing.T) {
 				if u == v {
 					continue
 				}
-				if _, err := st.InsertEdge(frag, graph.Edge{From: u, To: v, Weight: 1 + rng.Float64()*5}); err != nil {
+				if st, _, err = apply1(st, OpInsert, frag, graph.Edge{From: u, To: v, Weight: 1 + rng.Float64()*5}); err != nil {
 					return false
 				}
 			} else {
@@ -148,7 +149,7 @@ func TestPropertyUpdatesPreserveExactness(t *testing.T) {
 				if len(edges) < 2 {
 					continue
 				}
-				if _, err := st.DeleteEdge(frag, edges[rng.Intn(len(edges))]); err != nil {
+				if st, _, err = apply1(st, OpDelete, frag, edges[rng.Intn(len(edges))]); err != nil {
 					return false
 				}
 			}
@@ -161,7 +162,7 @@ func TestPropertyUpdatesPreserveExactness(t *testing.T) {
 			nodes = base.Nodes()
 			src := nodes[rng.Intn(len(nodes))]
 			dst := nodes[rng.Intn(len(nodes))]
-			res, err := st.Query(src, dst, EngineDijkstra)
+			res, err := query(st, src, dst, EngineDijkstra)
 			if err != nil {
 				return false
 			}
@@ -178,4 +179,10 @@ func TestPropertyUpdatesPreserveExactness(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Error(err)
 	}
+}
+
+// apply1 applies a single-op batch copy-on-write and returns the next
+// store generation.
+func apply1(st *Store, kind OpKind, frag int, e graph.Edge) (*Store, BatchStats, error) {
+	return st.Apply(context.Background(), []EdgeOp{{Kind: kind, Frag: frag, Edge: e}})
 }

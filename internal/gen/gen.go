@@ -64,8 +64,7 @@ const DefaultExtent = 100.0
 const DefaultC2 = 0.045
 
 // decayExpectation is E[e^(−DefaultC2·d(p,q))] for p, q uniform in the
-// default 100-square (Monte-Carlo estimate; see the calibration note in
-// EXPERIMENTS.md).
+// default 100-square (Monte-Carlo estimate).
 const decayExpectation = 0.166
 
 // DefaultsWithDegree returns a Config whose expected average undirected

@@ -17,6 +17,7 @@
 package phe
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/dsa"
@@ -129,10 +130,7 @@ func (h *Hierarchy) Query(source, target graph.NodeID, engine dsa.Engine) (*dsa.
 		if err != nil {
 			return nil, err
 		}
-		res, err := h.store.RunPlan(plan, engine, false)
-		if err != nil {
-			return nil, err
-		}
+		res, _ := h.store.PlanResult(plan)
 		res.Target = target
 		res.Reachable = false
 		res.Cost = inf()
@@ -193,7 +191,8 @@ func (h *Hierarchy) runChains(source, target graph.NodeID, chains [][]int, engin
 	if err != nil {
 		return nil, err
 	}
-	return h.store.RunPlan(plan, engine, true)
+	res, _, err := h.store.Execute(context.Background(), plan, engine, h.store.LocalLegs())
+	return res, err
 }
 
 // inf returns +Inf without importing math in two places.

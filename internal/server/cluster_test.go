@@ -115,17 +115,19 @@ func TestClusterMatchesSingleNode(t *testing.T) {
 	for q := 0; q < 12; q++ {
 		src := graph.NodeID(rng.Intn(64))
 		dst := graph.NodeID(rng.Intn(64))
-		want, _, err := ref.Query(src, dst, dsa.EngineDijkstra)
+		wantRes, err := ask(ref, src, dst, tcq.ModeCost, dsa.EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := wantRes.Answers[0]
 		for ni, srv := range tcl.servers {
 			// Twice: the replay answers from caches (local and remote).
 			for pass := 0; pass < 2; pass++ {
-				got, _, err := srv.Query(src, dst, dsa.EngineDijkstra)
+				res, err := ask(srv, src, dst, tcq.ModeCost, dsa.EngineDijkstra)
 				if err != nil {
 					t.Fatalf("node %s query %d->%d pass %d: %v", tcl.ids[ni], src, dst, pass, err)
 				}
+				got := res.Answers[0]
 				if got.Reachable != want.Reachable {
 					t.Errorf("node %s %d->%d pass %d: reachable %v, single-node %v",
 						tcl.ids[ni], src, dst, pass, got.Reachable, want.Reachable)
@@ -248,7 +250,7 @@ func TestClusterUpdateFanOut(t *testing.T) {
 	// Reference applies the identical transaction; answers must match
 	// from every coordinator — including pairs crossing the remotely
 	// rebuilt fragment.
-	if _, err := ref.InsertEdge(frag, graph.Edge{From: graph.NodeID(from), To: graph.NodeID(to), Weight: 0.25}); err != nil {
+	if _, err := ref.Facade().InsertEdge(frag, from, to, 0.25); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(13))
@@ -257,15 +259,17 @@ func TestClusterUpdateFanOut(t *testing.T) {
 		pairs = append(pairs, [2]graph.NodeID{graph.NodeID(rng.Intn(64)), graph.NodeID(rng.Intn(64))})
 	}
 	for _, p := range pairs {
-		want, _, err := ref.Query(p[0], p[1], dsa.EngineDijkstra)
+		wantRes, err := ask(ref, p[0], p[1], tcq.ModeCost, dsa.EngineDijkstra)
 		if err != nil {
 			t.Fatal(err)
 		}
+		want := wantRes.Answers[0]
 		for ni, srv := range tcl.servers {
-			got, _, err := srv.Query(p[0], p[1], dsa.EngineDijkstra)
+			res, err := ask(srv, p[0], p[1], tcq.ModeCost, dsa.EngineDijkstra)
 			if err != nil {
 				t.Fatalf("node %s query %d->%d post-update: %v", tcl.ids[ni], p[0], p[1], err)
 			}
+			got := res.Answers[0]
 			if got.Reachable != want.Reachable || (want.Reachable && math.Abs(got.Cost-want.Cost) > 1e-9) {
 				t.Errorf("node %s %d->%d post-update: (%v, %v), single-node (%v, %v)",
 					tcl.ids[ni], p[0], p[1], got.Reachable, got.Cost, want.Reachable, want.Cost)
@@ -403,9 +407,9 @@ func TestClusterFailureTaxonomy(t *testing.T) {
 			srv := tcl.servers[0]
 			// Corner to corner crosses every fragment, so some leg lands
 			// on the faulty peer whatever the ring dealt.
-			_, _, err := srv.Query(0, 63, dsa.EngineDijkstra)
+			_, err := ask(srv, 0, 63, tcq.ModeCost, dsa.EngineDijkstra)
 			if !errors.Is(err, tt.sentinel) {
-				t.Fatalf("library error %v, want %v", err, tt.sentinel)
+				t.Fatalf("facade error %v, want %v", err, tt.sentinel)
 			}
 			var ve V1Error
 			status := postV1(t, tcl.https[0].URL+"/v1/query",
@@ -420,7 +424,7 @@ func TestClusterFailureTaxonomy(t *testing.T) {
 // TestClusterDegradedFallback: with a peer unreachable (down or timing
 // out), queries whose legs route to it succeed anyway — the
 // coordinator executes those legs locally against its own pinned
-// snapshot — with the degradation fully visible: QueryStats and the
+// snapshot — with the degradation fully visible: the facade's and the
 // /v1 placement explain name the fallback sites, the fallback counter
 // advances, the breaker trips, and /readyz + /stats report degraded.
 func TestClusterDegradedFallback(t *testing.T) {
@@ -443,26 +447,32 @@ func TestClusterDegradedFallback(t *testing.T) {
 
 			// Corner to corner crosses every fragment; legs owned by the
 			// dead peer must fall back and the answer must stay exact.
-			want, _, err := ref.Query(0, 63, dsa.EngineDijkstra)
+			wantRes, err := ask(ref, 0, 63, tcq.ModeCost, dsa.EngineDijkstra)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, qs, err := srv.Query(0, 63, dsa.EngineDijkstra)
+			res, err := ask(srv, 0, 63, tcq.ModeCost, dsa.EngineDijkstra)
 			if err != nil {
 				t.Fatalf("degraded query failed instead of falling back: %v", err)
 			}
+			got, want := res.Answers[0], wantRes.Answers[0]
 			if got.Reachable != want.Reachable || math.Abs(got.Cost-want.Cost) > 1e-9 {
 				t.Errorf("degraded answer (%v, %v), single-node (%v, %v)",
 					got.Reachable, got.Cost, want.Reachable, want.Cost)
 			}
-			if len(qs.FallbackSites) == 0 {
-				t.Error("degraded query reported no fallback sites")
-			}
 			coord := srv.cluster
-			for _, site := range qs.FallbackSites {
-				if coord.IsLocal(site) {
-					t.Errorf("locally owned site %d reported as fallback", site)
+			fallbacks := 0
+			for _, p := range res.Explain.Placement {
+				if !p.Fallback {
+					continue
 				}
+				fallbacks++
+				if coord.IsLocal(p.Site) {
+					t.Errorf("locally owned site %d reported as fallback", p.Site)
+				}
+			}
+			if fallbacks == 0 {
+				t.Error("degraded query reported no fallback sites")
 			}
 
 			// The /v1 surface: the query succeeds and its placement explain
@@ -502,13 +512,13 @@ func TestClusterDegradedFallback(t *testing.T) {
 			if resp.StatusCode != http.StatusOK || rz.Status != "degraded" || rz.Breakers["b"] != "open" {
 				t.Errorf("readyz = %d %+v, want 200 degraded with b open", resp.StatusCode, rz)
 			}
-			fallbacks := 0.0
+			fallbackLegs := 0.0
 			for k, v := range srv.metrics.reg.Snapshot() {
 				if strings.HasPrefix(k, "tc_cluster_leg_fallback_total") {
-					fallbacks += v
+					fallbackLegs += v
 				}
 			}
-			if fallbacks == 0 {
+			if fallbackLegs == 0 {
 				t.Error("tc_cluster_leg_fallback_total did not advance")
 			}
 		})
@@ -574,7 +584,7 @@ func TestClusterConcurrentQueriesAndFanOut(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				src := graph.NodeID(rng.Intn(36))
 				dst := graph.NodeID(rng.Intn(36))
-				_, _, err := tcl.servers[ni].Query(src, dst, dsa.EngineDijkstra)
+				_, err := ask(tcl.servers[ni], src, dst, tcq.ModeCost, dsa.EngineDijkstra)
 				switch {
 				case err == nil:
 					ok.Add(1)

@@ -9,7 +9,6 @@ import (
 	"math"
 	"math/rand"
 	"net/http"
-	"net/url"
 	"sort"
 	"strings"
 	"sync"
@@ -48,13 +47,10 @@ type LoadConfig struct {
 	// Pairs is an explicit (src, dst) workload; overrides Nodes and
 	// Requests.
 	Pairs [][2]int
-	// Engine selects the per-request engine ("" = server default).
+	// Engine forces the per-request engine ("" = the planner decides).
 	Engine string
-	// Mode is "query" (shortest path) or "connected" (reachability).
+	// Mode is "query" (cost mode) or "connected" (connectivity mode).
 	Mode string
-	// API selects the wire surface: "legacy" (default; GET /query and
-	// /connected) or "v1" (POST /v1/query with a facade request body).
-	API string
 	// Seed drives the random workload.
 	Seed int64
 	// Repeat is the number of passes over the same workload (≥ 1).
@@ -242,12 +238,6 @@ func RunLoad(cfg LoadConfig) (*LoadReport, error) {
 	}
 	if cfg.Mode != "query" && cfg.Mode != "connected" {
 		return nil, fmt.Errorf("server: load: unknown mode %q (want query or connected)", cfg.Mode)
-	}
-	if cfg.API == "" {
-		cfg.API = "legacy"
-	}
-	if cfg.API != "legacy" && cfg.API != "v1" {
-		return nil, fmt.Errorf("server: load: unknown api %q (want legacy or v1)", cfg.API)
 	}
 	if cfg.Timeout <= 0 {
 		cfg.Timeout = 30 * time.Second
@@ -462,55 +452,9 @@ func fireUpdate(client *http.Client, baseURL string, frag, src, dst int) error {
 	return nil
 }
 
-// fire sends one query over the configured API surface and extracts
-// the comparable answer.
+// fire sends one query as a facade request over POST /v1/query and
+// extracts the comparable answer.
 func fire(client *http.Client, cfg LoadConfig, baseURL string, src, dst int) (answer, error) {
-	if cfg.API == "v1" {
-		return fireV1(client, cfg, baseURL, src, dst)
-	}
-	q := url.Values{}
-	q.Set("src", fmt.Sprint(src))
-	q.Set("dst", fmt.Sprint(dst))
-	if cfg.Engine != "" {
-		q.Set("engine", cfg.Engine)
-	}
-	endpoint := "/query"
-	if cfg.Mode == "connected" {
-		endpoint = "/connected"
-	}
-	resp, err := client.Get(baseURL + endpoint + "?" + q.Encode())
-	if err != nil {
-		return answer{}, err
-	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return answer{}, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return answer{}, &statusError{code: resp.StatusCode, body: strings.TrimSpace(string(body))}
-	}
-	if cfg.Mode == "connected" {
-		var cr ConnectedResponse
-		if err := json.Unmarshal(body, &cr); err != nil {
-			return answer{}, fmt.Errorf("bad /connected body: %v", err)
-		}
-		return answer{reachable: cr.Connected}, nil
-	}
-	var qr QueryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		return answer{}, fmt.Errorf("bad /query body: %v", err)
-	}
-	a := answer{reachable: qr.Reachable}
-	if qr.Cost != nil {
-		a.cost = *qr.Cost
-		a.hasCost = true
-	}
-	return a, nil
-}
-
-// fireV1 sends one query as a facade request over POST /v1/query.
-func fireV1(client *http.Client, cfg LoadConfig, baseURL string, src, dst int) (answer, error) {
 	mode := "cost"
 	if cfg.Mode == "connected" {
 		mode = "connectivity"

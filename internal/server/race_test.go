@@ -33,7 +33,7 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 			for i := 0; i < iters; i++ {
 				src := graph.NodeID(rng.Intn(nodes))
 				dst := graph.NodeID(rng.Intn(nodes))
-				if _, _, err := srv.Query(src, dst, engine); err != nil {
+				if _, err := ask(srv, src, dst, tcq.ModeCost, engine); err != nil {
 					t.Errorf("query worker %d: %v", w, err)
 					return
 				}
@@ -49,20 +49,20 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 		for i := 0; i < iters; i++ {
 			src := graph.NodeID(rng.Intn(nodes))
 			dst := graph.NodeID(rng.Intn(nodes))
-			got, _, err := srv.Connected(src, dst, dsa.EngineBitset)
+			res, err := ask(srv, src, dst, tcq.ModeConnectivity, dsa.EngineBitset)
 			if err != nil {
 				t.Errorf("connected worker: %v", err)
 				return
 			}
 			// The grid stays connected through every update below.
-			if !got {
+			if !res.Answers[0].Reachable {
 				t.Errorf("connected(%d, %d) = false on a connected grid", src, dst)
 				return
 			}
 		}
 	}()
 
-	// A pipelined-query worker (the uncached library path, same lock).
+	// A pipelined-query worker (the uncached chain walk).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -74,25 +74,25 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 			if i%2 == 1 {
 				engine = dsa.EngineDense
 			}
-			if _, err := srv.QueryPipelined(src, dst, engine); err != nil {
+			if _, err := ask(srv, src, dst, tcq.ModePipelined, engine); err != nil {
 				t.Errorf("pipelined worker: %v", err)
 				return
 			}
 		}
 	}()
 
-	// An updater inserting and deleting the same shortcut, forcing
-	// epoch bumps and eager cache sweeps while queries are in flight.
+	// An updater inserting and deleting the same shortcut one op at a
+	// time through the facade, forcing epoch bumps and eager cache
+	// sweeps while queries are in flight.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		e := graph.Edge{From: 0, To: 14, Weight: 0.5}
 		for i := 0; i < 4; i++ {
-			if _, err := srv.InsertEdge(0, e); err != nil {
+			if _, err := srv.Facade().InsertEdge(0, 0, 14, 0.5); err != nil {
 				t.Errorf("insert %d: %v", i, err)
 				return
 			}
-			if _, err := srv.DeleteEdge(0, e); err != nil {
+			if _, err := srv.Facade().DeleteEdge(0, 0, 14, 0.5); err != nil {
 				t.Errorf("delete %d: %v", i, err)
 				return
 			}
@@ -100,8 +100,8 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	}()
 
 	// A transactional writer applying multi-op batches through the
-	// dataset — the /v1/update path — concurrently with the per-op
-	// legacy updater above (writers serialise on the dataset's gate).
+	// dataset — the /v1/update path — concurrently with the single-op
+	// updater above (writers serialise on the dataset's gate).
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -118,11 +118,11 @@ func TestConcurrentQueriesAndUpdates(t *testing.T) {
 	wg.Wait()
 
 	// The server must still answer correctly after the storm.
-	res, _, err := srv.Query(0, graph.NodeID(nodes-1), dsa.EngineDijkstra)
+	res, err := ask(srv, 0, graph.NodeID(nodes-1), tcq.ModeCost, dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Reachable {
+	if !res.Answers[0].Reachable {
 		t.Error("grid corners unreachable after stress")
 	}
 	if st := srv.Stats(); st.Updates != 12 {

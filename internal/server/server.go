@@ -23,7 +23,6 @@ package server
 import (
 	"context"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -37,10 +36,6 @@ import (
 
 // Config tunes a Server.
 type Config struct {
-	// DefaultEngine answers legacy requests that do not select an
-	// engine. tcq.EngineAuto (the zero value) delegates per-request
-	// engine choice to the facade's planner — the recommended setting.
-	DefaultEngine tcq.Engine
 	// CacheCapacity bounds the leg-result cache in entries; 0 disables
 	// memoization.
 	CacheCapacity int
@@ -98,9 +93,6 @@ func NewDataset(ds *tcq.Dataset, cfg Config) (*Server, error) {
 	if ds == nil {
 		return nil, fmt.Errorf("server: nil dataset") //tcvet:ignore typederr constructor misuse guard; fails startup, never crosses the wire
 	}
-	if !cfg.DefaultEngine.Valid() {
-		return nil, fmt.Errorf("server: %w %d", dsa.ErrUnknownEngine, int(cfg.DefaultEngine))
-	}
 	if cfg.SiteWorkers < 1 {
 		cfg.SiteWorkers = 1
 	}
@@ -154,30 +146,100 @@ func (s *Server) Dataset() *tcq.Dataset { return s.ds }
 // RunPair implements tcq.Runner: it is how the facade executes one
 // planned (source, target) pair on this server, against the snapshot
 // the request pinned. The engine is already concrete (the facade's
-// planner resolved auto), so the pair maps directly onto the pooled
-// executor — or the store's pipelined walk for ModePipelined, which is
-// vector-seeded and therefore uncacheable.
+// planner resolved auto), so the pair maps directly onto the store's
+// executor with the server's leg executor — or the store's pipelined
+// walk for ModePipelined, which is vector-seeded and therefore
+// uncacheable.
 func (s *Server) RunPair(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine, mode tcq.Mode) (*dsa.Result, tcq.RunStats, error) {
 	start := time.Now()
+	st := snap.Store()
+	var (
+		res *dsa.Result
+		es  dsa.ExecStats
+		err error
+	)
 	if mode == tcq.ModePipelined {
-		res, err := s.queryPipelinedOn(ctx, snap, source, target, engine)
-		if err == nil {
-			s.metrics.observeQuery(engine.String(), mode, time.Since(start))
+		res, err = st.QueryPipelinedEngineCtx(ctx, source, target, engine)
+	} else {
+		var plan *dsa.Plan
+		if plan, err = st.NewPlan(source, target); err == nil {
+			res, es, err = st.Execute(ctx, plan, engine, serverLegs{s, snap})
 		}
-		return res, tcq.RunStats{}, err
 	}
-	res, qs, err := s.runCtx(ctx, snap, source, target, engine, mode == tcq.ModeCost)
 	if err != nil {
 		s.errors.Add(1)
 		return nil, tcq.RunStats{}, err
 	}
-	if mode == tcq.ModeCost {
+	switch mode {
+	case tcq.ModePipelined:
+		s.pipelined.Add(1)
+	case tcq.ModeCost:
 		s.queries.Add(1)
-	} else {
+	default:
 		s.connected.Add(1)
 	}
+	if mode != tcq.ModePipelined {
+		for site, w := range res.PerSite {
+			s.siteLegs[site].Add(uint64(w.Legs))
+			s.siteBusyNS[site].Add(int64(w.Elapsed))
+		}
+	}
 	s.metrics.observeQuery(engine.String(), mode, time.Since(start))
-	return res, tcq.RunStats{CacheHits: qs.CacheHits, CacheMisses: qs.CacheMisses, FallbackSites: qs.FallbackSites}, nil
+	return res, tcq.RunStats{CacheHits: es.CacheHits, CacheMisses: es.CacheMisses, FallbackSites: es.FallbackSites}, nil
+}
+
+// serverLegs is the server's leg executor for one query pinned to
+// snap. Locally owned legs queue on their site's persistent worker
+// pool and read through the leg cache; in cluster deployments, legs
+// of remotely owned sites go to their owners instead (scatter), each
+// on its own goroutine — they are I/O-bound waits, and the owner
+// serialises the actual work on ITS site pool.
+type serverLegs struct {
+	s    *Server
+	snap *tcq.Snapshot
+}
+
+// remote reports whether siteID's legs are owned by another node.
+func (l serverLegs) remote(siteID int) bool {
+	return l.s.cluster != nil && !l.s.cluster.IsLocal(siteID)
+}
+
+// Dispatch implements dsa.LegExecutor.
+func (l serverLegs) Dispatch(siteID int, fn func()) {
+	if l.remote(siteID) {
+		go fn()
+		return
+	}
+	l.s.pools.submit(siteID, fn)
+}
+
+// Full implements dsa.LegExecutor. A remote leg whose owner is
+// unreachable (down, timed out, or its breaker is open) runs here in
+// degraded mode, against the same pinned snapshot — every node builds
+// the identical store, so the answer stays correct. Protocol errors
+// (epoch skew, bad response) are NOT eligible: falling back would mask
+// incoherence.
+func (l serverLegs) Full(ctx context.Context, siteID int, entry []graph.NodeID, engine dsa.Engine) (*relation.Relation, tc.Stats, dsa.LegSource, error) {
+	s := l.s
+	if !l.remote(siteID) {
+		full, stats, hit, err := s.executeLegLocal(ctx, l.snap, siteID, entry, engine)
+		if err == nil && s.cluster != nil {
+			s.cluster.LocalLeg()
+		}
+		return full, stats, dsa.LegSource{Hit: hit}, err
+	}
+	// hit reports the OWNER's cache verdict — remote hits count as hits
+	// here so the hit rate reflects work actually saved cluster-wide.
+	full, stats, hit, err := s.cluster.ExecuteLeg(ctx, siteID, entry, engine.String(), l.snap.Epoch())
+	if err == nil || !cluster.FallbackEligible(err) {
+		return full, stats, dsa.LegSource{Hit: hit}, err
+	}
+	full, stats, hit, err = s.executeLegLocal(ctx, l.snap, siteID, entry, engine)
+	if err != nil {
+		return nil, tc.Stats{}, dsa.LegSource{}, err
+	}
+	s.cluster.FallbackLeg(siteID)
+	return full, stats, dsa.LegSource{Hit: hit, Fallback: true}, nil
 }
 
 // Close stops the worker pools and detaches the server from its
@@ -189,219 +251,10 @@ func (s *Server) Close() {
 	s.pools.close()
 }
 
-// DefaultEngine returns the engine used when a legacy request names
-// none (tcq.EngineAuto = the planner decides).
-func (s *Server) DefaultEngine() tcq.Engine { return s.cfg.DefaultEngine }
-
-// QueryStats reports the cache behaviour of one query.
-type QueryStats struct {
-	// CacheHits and CacheMisses count this query's leg lookups.
-	CacheHits, CacheMisses int
-	// FallbackSites lists remote-owned sites whose legs this node
-	// executed locally in degraded mode (owner unreachable). Empty on
-	// healthy clusters and single-node deployments.
-	FallbackSites []int
-}
-
-// Query answers a shortest-path query through the pools and the cache.
-// It mirrors dsa.Store.Query's refusals: reachability stores and the
-// connectivity-only bitset engine cannot answer cost queries.
-func (s *Server) Query(source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, QueryStats, error) {
-	res, qs, err := s.runCtx(context.Background(), s.ds.Snapshot(), source, target, engine, true)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, qs, err
-	}
-	s.queries.Add(1)
-	return res, qs, nil
-}
-
-// Connected answers the reachability query through the pools and the
-// cache; it accepts every engine on every store, like dsa.Connected.
-func (s *Server) Connected(source, target graph.NodeID, engine dsa.Engine) (bool, QueryStats, error) {
-	res, qs, err := s.runCtx(context.Background(), s.ds.Snapshot(), source, target, engine, false)
-	if err != nil {
-		s.errors.Add(1)
-		return false, qs, err
-	}
-	s.connected.Add(1)
-	return res.Reachable, qs, nil
-}
-
-// QueryPipelined passes a pipelined-evaluation query through the
-// serving layer (no leg cache: pipelined legs are seeded with the
-// running cost vector, so they are query-specific). The engine must
-// support vector-seeded evaluation: dsa.EngineDijkstra or
-// dsa.EngineDense.
-func (s *Server) QueryPipelined(source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
-	return s.QueryPipelinedCtx(context.Background(), source, target, engine)
-}
-
-// QueryPipelinedCtx is QueryPipelined with cancellation threaded into
-// the chain walk.
-func (s *Server) QueryPipelinedCtx(ctx context.Context, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
-	return s.queryPipelinedOn(ctx, s.ds.Snapshot(), source, target, engine)
-}
-
-// queryPipelinedOn runs the pipelined chain walk on one pinned
-// snapshot.
-func (s *Server) queryPipelinedOn(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
-	res, err := snap.Store().QueryPipelinedEngineCtx(ctx, source, target, engine)
-	if err != nil {
-		s.errors.Add(1)
-		return nil, err
-	}
-	s.pipelined.Add(1)
-	return res, nil
-}
-
-// runCtx is the pooled, cache-aware, cancellation-aware executor
-// behind every non-pipelined query, running entirely on the snapshot
-// the request pinned — concurrent batch applies swap the dataset
-// underneath without disturbing it. costQuery marks shortest-path
-// queries, which reachability stores and the connectivity-only bitset
-// engine refuse (mirroring dsa.Query, with the same typed errors).
-// Leg tasks observe ctx both before executing (a canceled query's
-// queued legs become no-ops) and inside the kernels.
-func (s *Server) runCtx(ctx context.Context, snap *tcq.Snapshot, source, target graph.NodeID, engine dsa.Engine, costQuery bool) (*dsa.Result, QueryStats, error) {
-	if !dsa.ValidEngine(engine) {
-		return nil, QueryStats{}, fmt.Errorf("server: %w %d", dsa.ErrUnknownEngine, int(engine))
-	}
-	st := snap.Store()
-	if costQuery {
-		if st.Problem() != dsa.ProblemShortestPath {
-			return nil, QueryStats{}, fmt.Errorf("server: %w: store precomputed for reachability cannot answer cost queries", dsa.ErrProblemMismatch)
-		}
-		if engine == dsa.EngineBitset {
-			return nil, QueryStats{}, fmt.Errorf("server: %w: engine bitset computes connectivity only; use Connected", dsa.ErrEngineMismatch)
-		}
-	}
-	start := time.Now()
-	plan, err := st.NewPlan(source, target)
-	if err != nil {
-		return nil, QueryStats{}, err
-	}
-	res, done := st.PlanResult(plan)
-	if done {
-		res.Elapsed = time.Since(start)
-		return res, QueryStats{}, nil
-	}
-
-	// Phase 1: every locally owned leg becomes one task on its site's
-	// persistent worker queue; the cache intercepts the (site, entry,
-	// engine) computation and the exit selection specialises it per
-	// leg. In cluster deployments, legs of remotely owned sites are
-	// shipped to their owners instead (scatter), each on its own
-	// goroutine — they are I/O-bound waits, and the owner serialises
-	// the actual work on ITS site pool. Both kinds land in the same
-	// results slice, so the assembly phase (gather) is oblivious to
-	// where a leg ran.
-	epoch := snap.Epoch()
-	results := make([]*dsa.LegResult, len(plan.Legs))
-	errs := make([]error, len(plan.Legs))
-	var hits, misses atomic.Int64
-	var fallbackMu sync.Mutex
-	var fallbackSites []int
-	var wg sync.WaitGroup
-	finishLeg := func(i int, leg dsa.Leg, t0 time.Time, full *relation.Relation, stats tc.Stats, hit bool) {
-		if hit {
-			hits.Add(1)
-		} else {
-			misses.Add(1)
-		}
-		filtered, filterErr := dsa.FilterLegFacts(full, leg)
-		if filterErr != nil {
-			errs[i] = filterErr
-			return
-		}
-		stats.ResultTuples = filtered.Len()
-		took := time.Since(t0)
-		results[i] = &dsa.LegResult{Leg: leg, Rel: filtered, Stats: stats, Took: took}
-		s.siteLegs[leg.SiteID].Add(1)
-		s.siteBusyNS[leg.SiteID].Add(int64(took))
-	}
-	for i := range plan.Legs {
-		leg := plan.Legs[i]
-		wg.Add(1)
-		if s.cluster != nil && !s.cluster.IsLocal(leg.SiteID) {
-			go func() {
-				defer wg.Done()
-				if err := ctx.Err(); err != nil {
-					errs[i] = fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
-					return
-				}
-				t0 := time.Now()
-				full, stats, hit, err := s.cluster.ExecuteLeg(ctx, leg.SiteID, leg.Entry, engine.String(), epoch)
-				if err != nil {
-					// Degraded mode: the owner is unreachable (down,
-					// timed out, or its breaker is open), but every node
-					// builds the identical store — so run the leg here,
-					// against the same pinned snapshot, and answer
-					// correctly instead of failing the query. Protocol
-					// errors (epoch skew, bad response) are NOT eligible:
-					// falling back would mask incoherence.
-					if !cluster.FallbackEligible(err) {
-						errs[i] = err
-						return
-					}
-					full, stats, hit, err = s.executeLegLocal(ctx, snap, leg.SiteID, leg.Entry, engine)
-					if err != nil {
-						errs[i] = err
-						return
-					}
-					s.cluster.FallbackLeg(leg.SiteID)
-					fallbackMu.Lock()
-					fallbackSites = append(fallbackSites, leg.SiteID)
-					fallbackMu.Unlock()
-				}
-				// hit reports the OWNER's cache verdict — remote hits
-				// count as hits here so the hit rate reflects work
-				// actually saved cluster-wide.
-				finishLeg(i, leg, t0, full, stats, hit)
-			}()
-			continue
-		}
-		s.pools.submit(leg.SiteID, func() {
-			defer wg.Done()
-			// A canceled query's queued legs become no-ops instead of
-			// occupying the site's workers.
-			if err := ctx.Err(); err != nil {
-				errs[i] = fmt.Errorf("server: %w (%w)", dsa.ErrCanceled, context.Cause(ctx))
-				return
-			}
-			t0 := time.Now()
-			full, stats, hit, execErr := s.executeLegLocal(ctx, snap, leg.SiteID, leg.Entry, engine)
-			if execErr != nil {
-				errs[i] = execErr
-				return
-			}
-			if s.cluster != nil {
-				s.cluster.LocalLeg()
-			}
-			finishLeg(i, leg, t0, full, stats, hit)
-		})
-	}
-	wg.Wait()
-	qs := QueryStats{CacheHits: int(hits.Load()), CacheMisses: int(misses.Load()), FallbackSites: fallbackSites}
-	for _, err := range errs {
-		if err != nil {
-			return nil, qs, err
-		}
-	}
-
-	// Phase 2: accounting + assembly, the same epilogue as the library
-	// path.
-	if err := st.FinishPlan(plan, results, res); err != nil {
-		return nil, qs, err
-	}
-	res.Elapsed = time.Since(start)
-	return res, qs, nil
-}
-
 // executeLegLocal runs the memoizable half of one leg on this node:
 // cache lookup keyed (site, entry, engine) at the snapshot's epoch,
-// kernel execution on miss. It is shared by the pooled executor and
-// the /v1/leg peer endpoint, so remote and local traffic for a site
+// kernel execution on miss. It is shared by the server's leg executor
+// and the /v1/leg peer endpoint, so remote and local traffic for a site
 // fill and hit the same cache entries.
 func (s *Server) executeLegLocal(ctx context.Context, snap *tcq.Snapshot, siteID int, entry []graph.NodeID, engine dsa.Engine) (*relation.Relation, tc.Stats, bool, error) {
 	epoch := snap.Epoch()
@@ -430,34 +283,6 @@ func (s *Server) ApplyBatch(ctx context.Context, b *tcq.Batch) (tcq.ApplyResult,
 	return res, nil
 }
 
-// InsertEdge applies an edge insertion as a single-op batch — the
-// legacy per-op entry point, kept for the unversioned /update shim.
-func (s *Server) InsertEdge(fragID int, e graph.Edge) (dsa.UpdateStats, error) {
-	return s.applyOne(tcq.Insert(fragID, int(e.From), int(e.To), e.Weight))
-}
-
-// DeleteEdge applies an edge deletion as a single-op batch — the
-// legacy per-op entry point, kept for the unversioned /update shim.
-func (s *Server) DeleteEdge(fragID int, e graph.Edge) (dsa.UpdateStats, error) {
-	return s.applyOne(tcq.Delete(fragID, int(e.From), int(e.To), e.Weight))
-}
-
-// applyOne routes one op through the facade's single-op path (which
-// unwraps the batch envelope to the op's own typed error).
-func (s *Server) applyOne(op tcq.Op) (dsa.UpdateStats, error) {
-	var stats tcq.UpdateStats
-	var err error
-	if op.Kind == tcq.OpInsert {
-		stats, err = s.facade.InsertEdge(op.Fragment, op.From, op.To, op.Weight)
-	} else {
-		stats, err = s.facade.DeleteEdge(op.Fragment, op.From, op.To, op.Weight)
-	}
-	if err != nil {
-		s.errors.Add(1)
-	}
-	return stats, err
-}
-
 // SiteStats is one site's serving-time work.
 type SiteStats struct {
 	// Legs is the number of leg tasks the site's workers executed.
@@ -474,7 +299,6 @@ type Stats struct {
 	Sites            int     `json:"sites"`
 	LooselyConnected bool    `json:"loosely_connected"`
 	Problem          string  `json:"problem"`
-	DefaultEngine    string  `json:"default_engine"`
 
 	Queries          uint64 `json:"queries"`
 	ConnectedQueries uint64 `json:"connected_queries"`
@@ -507,7 +331,6 @@ func (s *Server) Stats() Stats {
 		Sites:            ss.Sites,
 		LooselyConnected: ss.LooselyConnected,
 		Problem:          ss.Problem.String(),
-		DefaultEngine:    s.cfg.DefaultEngine.String(),
 	}
 	st.Queries = s.queries.Load()
 	st.ConnectedQueries = s.connected.Load()

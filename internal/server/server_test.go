@@ -2,7 +2,10 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"net/http"
@@ -51,10 +54,33 @@ func newOracle(t *testing.T, st *dsa.Store) *dsa.Store {
 	return o
 }
 
+// libQuery answers one pair on st through the library's default leg
+// executor — the uncached reference the server must agree with.
+func libQuery(st *dsa.Store, src, dst graph.NodeID, engine dsa.Engine) (*dsa.Result, error) {
+	plan, err := st.NewPlan(src, dst)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := st.Execute(context.Background(), plan, engine, st.LocalLegs())
+	return res, err
+}
+
+// ask answers one pair through srv's facade with a forced engine — the
+// public path onto the server's leg executor.
+func ask(srv *Server, src, dst graph.NodeID, mode tcq.Mode, engine dsa.Engine) (*tcq.Result, error) {
+	eng, err := tcq.ParseEngine(engine.String())
+	if err != nil {
+		return nil, err
+	}
+	return srv.Facade().Query(context.Background(), tcq.Request{
+		Sources: []int{int(src)}, Targets: []int{int(dst)}, Mode: mode, Engine: eng,
+	})
+}
+
 // TestServerMatchesLibrary is the serving-layer correctness property:
-// pooled, cached execution answers exactly what the one-shot library
-// pipeline answers, for repeated (cache-hitting) random queries and
-// both cost engines.
+// the server's leg executor (pooled, cached) answers exactly what the
+// library's default executor answers, for repeated (cache-hitting)
+// random queries and every cost engine.
 func TestServerMatchesLibrary(t *testing.T) {
 	srv, st := newGridServer(t, 8, 8, 4, Config{CacheCapacity: 256})
 	oracle := newOracle(t, st)
@@ -63,16 +89,17 @@ func TestServerMatchesLibrary(t *testing.T) {
 		for q := 0; q < 15; q++ {
 			src := graph.NodeID(rng.Intn(64))
 			dst := graph.NodeID(rng.Intn(64))
-			want, err := oracle.Query(src, dst, engine)
+			want, err := libQuery(oracle, src, dst, engine)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Twice: the second answer comes from the leg cache.
 			for pass := 0; pass < 2; pass++ {
-				got, _, err := srv.Query(src, dst, engine)
+				res, err := ask(srv, src, dst, tcq.ModeCost, engine)
 				if err != nil {
 					t.Fatalf("server query %d->%d pass %d: %v", src, dst, pass, err)
 				}
+				got := res.Answers[0]
 				if got.Reachable != want.Reachable {
 					t.Errorf("%v %d->%d pass %d: reachable %v, oracle %v",
 						engine, src, dst, pass, got.Reachable, want.Reachable)
@@ -105,11 +132,11 @@ func TestServerConnectedAllEngines(t *testing.T) {
 			if src == dst {
 				want = true
 			}
-			got, _, err := srv.Connected(src, dst, engine)
+			res, err := ask(srv, src, dst, tcq.ModeConnectivity, engine)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got != want {
+			if got := res.Answers[0].Reachable; got != want {
 				t.Errorf("%v connected(%d, %d) = %v, want %v", engine, src, dst, got, want)
 			}
 		}
@@ -122,35 +149,32 @@ func TestServerConnectedAllEngines(t *testing.T) {
 func TestServerUpdateInvalidatesCache(t *testing.T) {
 	srv, _ := newGridServer(t, 8, 8, 4, Config{CacheCapacity: 256})
 	src, dst := graph.NodeID(0), graph.NodeID(63)
-	before, _, err := srv.Query(src, dst, dsa.EngineDijkstra)
-	if err != nil {
-		t.Fatal(err)
+	cost := func() float64 {
+		t.Helper()
+		res, err := ask(srv, src, dst, tcq.ModeCost, dsa.EngineDijkstra)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.Answers[0].Cost
 	}
+	before := cost()
 	// Warm the cache with a second identical query.
-	if _, qs, err := srv.Query(src, dst, dsa.EngineDijkstra); err != nil || qs.CacheHits == 0 {
-		t.Fatalf("warm query: hits=%d err=%v", qs.CacheHits, err)
+	if res, err := ask(srv, src, dst, tcq.ModeCost, dsa.EngineDijkstra); err != nil || res.CacheHits == 0 {
+		t.Fatalf("warm query: res=%+v err=%v", res, err)
 	}
 	// A directed 0→63 shortcut far cheaper than any grid path.
-	if _, err := srv.InsertEdge(0, graph.Edge{From: src, To: dst, Weight: 0.25}); err != nil {
+	if _, err := srv.Facade().InsertEdge(0, int(src), int(dst), 0.25); err != nil {
 		t.Fatal(err)
 	}
-	after, _, err := srv.Query(src, dst, dsa.EngineDijkstra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(after.Cost-0.25) > 1e-9 {
-		t.Errorf("cost after shortcut insert = %v, want 0.25 (before: %v)", after.Cost, before.Cost)
+	if after := cost(); math.Abs(after-0.25) > 1e-9 {
+		t.Errorf("cost after shortcut insert = %v, want 0.25 (before: %v)", after, before)
 	}
 	// And deleting restores the original answer.
-	if _, err := srv.DeleteEdge(0, graph.Edge{From: src, To: dst, Weight: 0.25}); err != nil {
+	if _, err := srv.Facade().DeleteEdge(0, int(src), int(dst), 0.25); err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := srv.Query(src, dst, dsa.EngineDijkstra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(restored.Cost-before.Cost) > 1e-9 {
-		t.Errorf("cost after delete = %v, want %v", restored.Cost, before.Cost)
+	if restored := cost(); math.Abs(restored-before) > 1e-9 {
+		t.Errorf("cost after delete = %v, want %v", restored, before)
 	}
 	st := srv.Stats()
 	if st.Epoch != 2 {
@@ -166,38 +190,22 @@ func TestServerUpdateInvalidatesCache(t *testing.T) {
 
 func TestServerRefusals(t *testing.T) {
 	srv, _ := newGridServer(t, 4, 4, 2, Config{CacheCapacity: 16})
-	if _, _, err := srv.Query(0, 15, dsa.EngineBitset); err == nil {
-		t.Error("bitset cost query accepted")
+	if _, err := ask(srv, 0, 15, tcq.ModeCost, dsa.EngineBitset); !errors.Is(err, tcq.ErrEngineMismatch) {
+		t.Errorf("bitset cost query: err = %v, want ErrEngineMismatch", err)
 	}
-	if _, _, err := srv.Query(0, 15, dsa.Engine(9)); err == nil {
-		t.Error("unknown engine accepted")
+	if _, err := ask(srv, 0, 15, tcq.ModeCost, dsa.Engine(9)); !errors.Is(err, tcq.ErrUnknownEngine) {
+		t.Errorf("unknown engine: err = %v, want ErrUnknownEngine", err)
 	}
-	if _, _, err := srv.Query(0, 4096, dsa.EngineDijkstra); err == nil {
-		t.Error("unknown node accepted")
+	// The runner seam itself refuses an unknown engine too.
+	if _, _, err := srv.RunPair(context.Background(), srv.Dataset().Snapshot(), 0, 15, dsa.Engine(9), tcq.ModeCost); !errors.Is(err, dsa.ErrUnknownEngine) {
+		t.Errorf("RunPair with unknown engine: err = %v, want ErrUnknownEngine", err)
+	}
+	if _, err := ask(srv, 0, 4096, tcq.ModeCost, dsa.EngineDijkstra); !errors.Is(err, tcq.ErrUnknownNode) {
+		t.Errorf("unknown node: err = %v, want ErrUnknownNode", err)
 	}
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("nil store accepted")
 	}
-	if _, err := New(newOracle(t, mustStore(t)), Config{DefaultEngine: tcq.Engine(7)}); err == nil {
-		t.Error("unknown default engine accepted")
-	}
-}
-
-func mustStore(t *testing.T) *dsa.Store {
-	t.Helper()
-	g, err := gen.Grid(gen.GridConfig{Width: 3, Height: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := linear.Fragment(g, linear.Options{NumFragments: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := dsa.Build(res.Fragmentation, dsa.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return st
 }
 
 // TestReachabilityStoreRefusesCostQueries mirrors the library contract
@@ -220,14 +228,14 @@ func TestReachabilityStoreRefusesCostQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	if _, _, err := srv.Query(0, 15, dsa.EngineDijkstra); err == nil {
-		t.Error("reachability store answered a cost query")
+	if _, err := ask(srv, 0, 15, tcq.ModeCost, dsa.EngineDijkstra); !errors.Is(err, tcq.ErrProblemMismatch) {
+		t.Errorf("reachability store answered a cost query: err = %v", err)
 	}
-	got, _, err := srv.Connected(0, 15, dsa.EngineBitset)
+	got, err := ask(srv, 0, 15, tcq.ModeConnectivity, dsa.EngineBitset)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got {
+	if !got.Answers[0].Reachable {
 		t.Error("grid corners not connected")
 	}
 }
@@ -239,43 +247,45 @@ func TestHTTPEndpoints(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	get := func(path string, wantStatus int, into any) {
-		t.Helper()
-		resp, err := http.Get(ts.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != wantStatus {
-			t.Fatalf("GET %s: status %d, want %d", path, resp.StatusCode, wantStatus)
-		}
-		if into != nil {
-			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
-				t.Fatalf("GET %s: decode: %v", path, err)
-			}
-		}
+	var health map[string]string
+	if err := getJSON(ts.URL+"/healthz", &health); err != nil {
+		t.Fatal(err)
 	}
 
-	get("/healthz", http.StatusOK, nil)
-
-	var qr QueryResponse
-	get("/query?src=0&dst=35", http.StatusOK, &qr)
-	want, err := oracle.Query(0, 35, dsa.EngineDijkstra)
+	want, err := libQuery(oracle, 0, 35, dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !qr.Reachable || qr.Cost == nil || math.Abs(*qr.Cost-want.Cost) > 1e-9 {
-		t.Errorf("HTTP query 0->35 = %+v, oracle cost %v", qr, want.Cost)
+	pair := func(mode, engine string) V1Request {
+		return V1Request{Sources: []int{0}, Targets: []int{35}, Mode: mode, Engine: engine}
 	}
+	// costOf posts a single-pair /v1/query and checks the answered
+	// engine (when wantEngine is set) and cost.
+	costOf := func(req V1Request, wantEngine string, wantCost float64) {
+		t.Helper()
+		var vr V1QueryResponse
+		if status := postV1(t, ts.URL+"/v1/query", req, &vr); status != http.StatusOK {
+			t.Fatalf("POST /v1/query %+v: status %d", req, status)
+		}
+		a := vr.Answers[0]
+		if !a.Reachable || a.Cost == nil || math.Abs(*a.Cost-wantCost) > 1e-9 {
+			t.Errorf("/v1/query %+v = %+v, want cost %v", req, a, wantCost)
+		}
+		if wantEngine != "" && vr.Explain.Engine != wantEngine {
+			t.Errorf("/v1/query %+v: engine %q, want %q", req, vr.Explain.Engine, wantEngine)
+		}
+	}
+	costOf(pair("cost", ""), "", want.Cost)
 
-	var cr ConnectedResponse
-	get("/connected?src=0&dst=35&engine=bitset", http.StatusOK, &cr)
-	if !cr.Connected {
-		t.Error("corners not connected over HTTP")
+	var cr V1QueryResponse
+	if status := postV1(t, ts.URL+"/v1/query", pair("connectivity", "bitset"), &cr); status != http.StatusOK || !cr.Answers[0].Reachable {
+		t.Errorf("corners not connected over HTTP: status %d, %+v", status, cr)
 	}
 
 	var sr Stats
-	get("/stats", http.StatusOK, &sr)
+	if err := getJSON(ts.URL+"/stats", &sr); err != nil {
+		t.Fatal(err)
+	}
 	if sr.Nodes != 36 || sr.Sites != 3 {
 		t.Errorf("stats nodes=%d sites=%d, want 36 and 3", sr.Nodes, sr.Sites)
 	}
@@ -283,91 +293,68 @@ func TestHTTPEndpoints(t *testing.T) {
 		t.Errorf("stats did not count queries: %+v", sr)
 	}
 
-	// Client errors.
-	get("/query?src=zero&dst=1", http.StatusBadRequest, nil)
-	get("/query?src=0&dst=1&engine=warp", http.StatusBadRequest, nil)
-	get("/query?src=0&dst=1&engine=bitset", http.StatusBadRequest, nil)
-	get("/query?src=0&dst=1&mode=sideways", http.StatusBadRequest, nil)
-	get("/query?src=0&dst=999", http.StatusBadRequest, nil)
+	// Client errors carry typed codes.
+	refused := func(req V1Request, wantStatus int, wantCode string) {
+		t.Helper()
+		var ve V1Error
+		if status := postV1(t, ts.URL+"/v1/query", req, &ve); status != wantStatus || ve.Code != wantCode {
+			t.Errorf("/v1/query %+v: status %d code %q, want %d %q", req, status, ve.Code, wantStatus, wantCode)
+		}
+	}
+	refused(pair("cost", "warp"), http.StatusBadRequest, "unknown_engine")
+	refused(pair("cost", "bitset"), http.StatusBadRequest, "engine_mismatch")
+	refused(pair("sideways", ""), http.StatusBadRequest, "unknown_mode")
+	refused(V1Request{Sources: []int{0}, Targets: []int{999}, Mode: "cost"}, http.StatusNotFound, "unknown_node")
 
-	// Pipelined mode over HTTP: defaults to multi-source dijkstra,
-	// accepts the vector-seeded dense kernel, and refuses engines
-	// without a seeded primitive rather than silently ignoring them.
-	var pr QueryResponse
-	get("/query?src=0&dst=35&mode=pipelined", http.StatusOK, &pr)
-	if !pr.Reachable || pr.Cost == nil || math.Abs(*pr.Cost-want.Cost) > 1e-9 {
-		t.Errorf("pipelined HTTP query = %+v, oracle cost %v", pr, want.Cost)
-	}
-	if pr.Engine != "dijkstra" {
-		t.Errorf("pipelined engine = %q, want dijkstra", pr.Engine)
-	}
-	var pd QueryResponse
-	get("/query?src=0&dst=35&mode=pipelined&engine=dense", http.StatusOK, &pd)
-	if !pd.Reachable || pd.Cost == nil || math.Abs(*pd.Cost-want.Cost) > 1e-9 {
-		t.Errorf("pipelined dense HTTP query = %+v, oracle cost %v", pd, want.Cost)
-	}
-	if pd.Engine != "dense" {
-		t.Errorf("pipelined dense engine = %q, want dense", pd.Engine)
-	}
+	// Pipelined mode: the planner picks a vector-seeded engine, the
+	// dense kernel is accepted, and engines without a seeded primitive
+	// are refused rather than silently ignored.
+	costOf(pair("pipelined", ""), "", want.Cost)
+	costOf(pair("pipelined", "dense"), "dense", want.Cost)
 	// A pooled dense cost query shares the leg cache like any engine.
-	var dq QueryResponse
-	get("/query?src=0&dst=35&engine=dense", http.StatusOK, &dq)
-	if !dq.Reachable || dq.Cost == nil || math.Abs(*dq.Cost-want.Cost) > 1e-9 {
-		t.Errorf("dense HTTP query = %+v, oracle cost %v", dq, want.Cost)
-	}
-	get("/query?src=0&dst=35&mode=pipelined&engine=seminaive", http.StatusBadRequest, nil)
-	get("/query?src=0&dst=35&mode=pipelined&engine=bitset", http.StatusBadRequest, nil)
+	costOf(pair("cost", "dense"), "dense", want.Cost)
+	refused(pair("pipelined", "seminaive"), http.StatusBadRequest, "engine_mismatch")
+	refused(pair("pipelined", "bitset"), http.StatusBadRequest, "engine_mismatch")
 
 	// Update round trip: insert then delete a shortcut.
-	post := func(body string, wantStatus int, into any) {
+	update := func(body string, wantStatus int) V1UpdateResponse {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/update", "application/json", bytes.NewBufferString(body))
+		var ur V1UpdateResponse
+		resp, err := http.Post(ts.URL+"/v1/update", "application/json", bytes.NewBufferString(body))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != wantStatus {
-			t.Fatalf("POST /update %s: status %d, want %d", body, resp.StatusCode, wantStatus)
+			t.Fatalf("POST /v1/update %s: status %d, want %d", body, resp.StatusCode, wantStatus)
 		}
-		if into != nil {
-			if err := json.NewDecoder(resp.Body).Decode(into); err != nil {
+		if wantStatus == http.StatusOK {
+			if err := json.NewDecoder(resp.Body).Decode(&ur); err != nil {
 				t.Fatal(err)
 			}
 		}
+		return ur
 	}
-	var ur UpdateResponse
-	post(`{"op":"insert","fragment":0,"from":0,"to":35,"weight":0.5}`, http.StatusOK, &ur)
-	if ur.Epoch != 1 {
+	if ur := update(`{"ops":[{"op":"insert","fragment":0,"from":0,"to":35,"weight":0.5}]}`, http.StatusOK); ur.Epoch != 1 {
 		t.Errorf("epoch after insert = %d, want 1", ur.Epoch)
 	}
-	get("/query?src=0&dst=35", http.StatusOK, &qr)
-	if qr.Cost == nil || math.Abs(*qr.Cost-0.5) > 1e-9 {
-		t.Errorf("cost after HTTP insert = %v, want 0.5", qr.Cost)
-	}
-	post(`{"op":"delete","fragment":0,"from":0,"to":35,"weight":0.5}`, http.StatusOK, &ur)
-	post(`{"op":"teleport","fragment":0,"from":0,"to":1}`, http.StatusBadRequest, nil)
-	post(`not json`, http.StatusBadRequest, nil)
+	costOf(pair("cost", ""), "", 0.5)
+	update(`{"ops":[{"op":"delete","fragment":0,"from":0,"to":35,"weight":0.5}]}`, http.StatusOK)
+	update(`{"ops":[{"op":"teleport","fragment":0,"from":0,"to":1}]}`, http.StatusBadRequest)
+	update(`not json`, http.StatusBadRequest)
 }
 
-// TestHTTPPipelinedHonorsDenseDefault: with a dense default engine,
-// mode=pipelined with no engine param runs dense (matching pooled
-// mode) instead of silently reverting to dijkstra.
-func TestHTTPPipelinedHonorsDenseDefault(t *testing.T) {
-	srv, _ := newGridServer(t, 6, 6, 3, Config{DefaultEngine: tcq.EngineDense, CacheCapacity: 64})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	resp, err := http.Get(ts.URL + "/query?src=0&dst=35&mode=pipelined")
+// getJSON decodes a 200 GET response body into out.
+func getJSON(url string, out any) error {
+	resp, err := http.Get(url)
 	if err != nil {
-		t.Fatal(err)
+		return err
 	}
 	defer resp.Body.Close()
-	var qr QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("GET %s: status %d", url, resp.StatusCode)
 	}
-	if qr.Engine != "dense" || !qr.Reachable {
-		t.Errorf("pipelined with dense default = engine %q, reachable %v; want dense, true", qr.Engine, qr.Reachable)
-	}
+	return json.NewDecoder(resp.Body).Decode(out)
 }
 
 // TestRunLoadAgainstServer exercises the load driver end to end: a

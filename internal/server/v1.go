@@ -14,8 +14,7 @@ import (
 // This file is the versioned HTTP surface of the facade: POST
 // /v1/query and POST /v1/batch, JSON in both directions, speaking
 // pkg/tcq's vocabulary (source/target sets, modes, auto-planned
-// engines, typed error codes). The unversioned GET endpoints remain as
-// thin shims over the same facade (http.go).
+// engines, typed error codes) — the only query surface.
 
 // maxBatchRequests bounds one /v1/batch body — a backstop against a
 // single request monopolising the worker pools.

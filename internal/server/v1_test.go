@@ -10,17 +10,25 @@ import (
 	"net/http/httptest"
 	"testing"
 
+	"repro/internal/dsa"
 	"repro/pkg/tcq"
 )
 
-// v1Server boots an 8x8 grid deployment with an auto-planning default
-// behind an httptest server.
+// v1Server boots an 8x8 grid deployment behind an httptest server.
 func v1Server(t *testing.T) *httptest.Server {
 	t.Helper()
-	srv, _ := newGridServer(t, 8, 8, 2, Config{DefaultEngine: tcq.EngineAuto, CacheCapacity: 256})
+	ts, _, _ := v1Deployment(t)
+	return ts
+}
+
+// v1Deployment is v1Server that also hands back the server and its
+// store.
+func v1Deployment(t *testing.T) (*httptest.Server, *Server, *dsa.Store) {
+	t.Helper()
+	srv, st := newGridServer(t, 8, 8, 2, Config{CacheCapacity: 256})
 	ts := httptest.NewServer(srv.Handler())
 	t.Cleanup(ts.Close)
-	return ts
+	return ts, srv, st
 }
 
 // postV1 fires one JSON POST and decodes the response into out,
@@ -43,7 +51,7 @@ func postV1(t *testing.T, url string, body any, out any) int {
 }
 
 func TestV1QueryCost(t *testing.T) {
-	ts := v1Server(t)
+	ts, _, st := v1Deployment(t)
 	var vr V1QueryResponse
 	status := postV1(t, ts.URL+"/v1/query", V1Request{
 		Sources: []int{0}, Targets: []int{63}, Mode: "cost",
@@ -61,22 +69,10 @@ func TestV1QueryCost(t *testing.T) {
 		t.Fatalf("canonical %q", vr.Explain.Canonical)
 	}
 
-	// The legacy shim must agree with /v1 on the same pair — the
-	// compatibility oracle for the rewiring.
-	legacy, err := http.Get(ts.URL + "/query?src=0&dst=63")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer legacy.Body.Close()
-	var qr QueryResponse
-	if err := json.NewDecoder(legacy.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	if !qr.Reachable || qr.Cost == nil {
-		t.Fatalf("legacy shim: %+v", qr)
-	}
-	if math.Abs(*qr.Cost-*vr.Answers[0].Cost) > 1e-9 {
-		t.Fatalf("legacy cost %v != v1 cost %v", *qr.Cost, *vr.Answers[0].Cost)
+	// A global Dijkstra over the unfragmented graph must agree — the
+	// oracle shares no code with the disconnection-set executor.
+	if want := st.Fragmentation().Base().Distance(0, 63); math.Abs(*vr.Answers[0].Cost-want) > 1e-9 {
+		t.Fatalf("v1 cost %v != global distance %v", *vr.Answers[0].Cost, want)
 	}
 }
 
@@ -166,11 +162,12 @@ func TestV1Batch(t *testing.T) {
 	}
 }
 
-// TestV1CacheSharedWithLegacy asserts the leg cache serves both
-// surfaces: a /v1 query warms the cache for the legacy shim and vice
-// versa, because both key off the planner's canonical plan.
-func TestV1CacheSharedWithLegacy(t *testing.T) {
-	ts := v1Server(t)
+// TestV1CacheSharedWithFacade asserts the leg cache serves both entry
+// points: a /v1 query warms the cache for library callers of the
+// server-backed facade, because both run through the server's leg
+// executor.
+func TestV1CacheSharedWithFacade(t *testing.T) {
+	ts, srv, _ := v1Deployment(t)
 	var first V1QueryResponse
 	postV1(t, ts.URL+"/v1/query", V1Request{Sources: []int{0}, Targets: []int{63}, Mode: "cost"}, &first)
 	if first.CacheMisses == 0 {
@@ -181,17 +178,12 @@ func TestV1CacheSharedWithLegacy(t *testing.T) {
 	if second.CacheHits == 0 {
 		t.Fatalf("same-entry different-target query must hit the leg cache, got %+v", second)
 	}
-	resp, err := http.Get(ts.URL + "/query?src=0&dst=61")
+	res, err := srv.Facade().Query(context.Background(), tcq.Request{Sources: []int{0}, Targets: []int{61}, Mode: tcq.ModeCost})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer resp.Body.Close()
-	var qr QueryResponse
-	if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.CacheHits == 0 {
-		t.Fatalf("legacy shim must share the v1-warmed cache, got %+v", qr)
+	if res.CacheHits == 0 {
+		t.Fatalf("the facade must share the v1-warmed cache, got %+v", res)
 	}
 }
 
@@ -206,7 +198,6 @@ func TestV1LoadDriver(t *testing.T) {
 		Nodes:           64,
 		Seed:            3,
 		Repeat:          2,
-		API:             "v1",
 		ExpectReachable: true,
 	})
 	if err != nil {
@@ -224,7 +215,7 @@ func TestV1LoadDriver(t *testing.T) {
 // as tcq.ErrCanceled through the server-backed facade (queued legs
 // become no-ops, kernels abort between rounds).
 func TestFacadeCancellationThroughPools(t *testing.T) {
-	srv, _ := newGridServer(t, 8, 8, 2, Config{DefaultEngine: tcq.EngineAuto, CacheCapacity: 64})
+	srv, _ := newGridServer(t, 8, 8, 2, Config{CacheCapacity: 64})
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := srv.Facade().Query(ctx, tcq.Request{Sources: []int{0}, Targets: []int{63}, Mode: tcq.ModeCost})
@@ -318,7 +309,7 @@ func TestV1Update(t *testing.T) {
 // invalidation and update counters fire for facade-applied batches,
 // and QueryPath reads a pinned immutable snapshot safely.
 func TestFacadeMutationsShareServerDataset(t *testing.T) {
-	srv, _ := newGridServer(t, 6, 6, 2, Config{DefaultEngine: tcq.EngineAuto, CacheCapacity: 64})
+	srv, _ := newGridServer(t, 6, 6, 2, Config{CacheCapacity: 64})
 	if _, err := srv.Facade().InsertEdge(0, 0, 1, 0.25); err != nil {
 		t.Fatalf("InsertEdge through facade: %v", err)
 	}

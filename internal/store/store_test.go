@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -53,11 +54,11 @@ func assertSameAnswers(t *testing.T, built, loaded *dsa.Store, g *graph.Graph, p
 		src := graph.NodeID(rng.Intn(n))
 		tgt := graph.NodeID(rng.Intn(n))
 		for _, eng := range costEngines {
-			want, err := built.Query(src, tgt, eng)
+			want, err := query(t, built, src, tgt, eng)
 			if err != nil {
 				t.Fatalf("built query %d→%d (%v): %v", src, tgt, eng, err)
 			}
-			got, err := loaded.Query(src, tgt, eng)
+			got, err := query(t, loaded, src, tgt, eng)
 			if err != nil {
 				t.Fatalf("loaded query %d→%d (%v): %v", src, tgt, eng, err)
 			}
@@ -66,11 +67,11 @@ func assertSameAnswers(t *testing.T, built, loaded *dsa.Store, g *graph.Graph, p
 					src, tgt, eng, want.Reachable, want.Cost, got.Reachable, got.Cost)
 			}
 		}
-		wantConn, err := built.Connected(src, tgt, dsa.EngineBitset)
+		wantConn, err := connected(t, built, src, tgt, dsa.EngineBitset)
 		if err != nil {
 			t.Fatalf("built connected %d→%d: %v", src, tgt, err)
 		}
-		gotConn, err := loaded.Connected(src, tgt, dsa.EngineBitset)
+		gotConn, err := connected(t, loaded, src, tgt, dsa.EngineBitset)
 		if err != nil {
 			t.Fatalf("loaded connected %d→%d: %v", src, tgt, err)
 		}
@@ -91,11 +92,11 @@ func assertSameReachability(t *testing.T, built, loaded *dsa.Store, g *graph.Gra
 		src := graph.NodeID(rng.Intn(n))
 		tgt := graph.NodeID(rng.Intn(n))
 		for _, eng := range engines {
-			want, err := built.Connected(src, tgt, eng)
+			want, err := connected(t, built, src, tgt, eng)
 			if err != nil {
 				t.Fatalf("built connected %d→%d (%v): %v", src, tgt, eng, err)
 			}
-			got, err := loaded.Connected(src, tgt, eng)
+			got, err := connected(t, loaded, src, tgt, eng)
 			if err != nil {
 				t.Fatalf("loaded connected %d→%d (%v): %v", src, tgt, eng, err)
 			}
@@ -317,7 +318,7 @@ func TestRoundTripInfinityWeightsStayFinite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := loaded.Query(0, graph.NodeID(g.NumNodes()-1), dsa.EngineDijkstra)
+	res, err := query(t, loaded, 0, graph.NodeID(g.NumNodes()-1), dsa.EngineDijkstra)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,4 +326,26 @@ func TestRoundTripInfinityWeightsStayFinite(t *testing.T) {
 		t.Fatal("reachable with infinite cost")
 	}
 	assertSameAnswers(t, st, loaded, g, 40, 5)
+}
+
+// query answers one pair on st through the library's default leg
+// executor.
+func query(t *testing.T, st *dsa.Store, src, tgt graph.NodeID, eng dsa.Engine) (*dsa.Result, error) {
+	t.Helper()
+	plan, err := st.NewPlan(src, tgt)
+	if err != nil {
+		return nil, err
+	}
+	res, _, err := st.Execute(context.Background(), plan, eng, st.LocalLegs())
+	return res, err
+}
+
+// connected is query's reachability bit.
+func connected(t *testing.T, st *dsa.Store, src, tgt graph.NodeID, eng dsa.Engine) (bool, error) {
+	t.Helper()
+	res, err := query(t, st, src, tgt, eng)
+	if err != nil {
+		return false, err
+	}
+	return res.Reachable, nil
 }

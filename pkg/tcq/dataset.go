@@ -183,8 +183,7 @@ func (d *Dataset) OnApply(fn func(ApplyResult)) (unsubscribe func()) {
 }
 
 // refreshStats recollects the planner stats of the current generation
-// — the escape hatch for stores mutated out-of-band through the legacy
-// in-place dsa update methods.
+// (Client.Refresh).
 func (d *Dataset) refreshStats() {
 	d.applyMu.Lock()
 	defer d.applyMu.Unlock()

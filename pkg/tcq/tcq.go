@@ -319,8 +319,8 @@ func (c *Client) QueryPath(ctx context.Context, source, target int) (Answer, *Ro
 }
 
 // storeRunner is the default executor: direct execution on the pinned
-// snapshot's store with one goroutine per involved site (the paper's
-// one-processor-per-fragment).
+// snapshot's store through the library's default leg executor, one
+// goroutine per leg.
 type storeRunner struct{}
 
 // RunPair implements Runner.
@@ -333,6 +333,6 @@ func (storeRunner) RunPair(ctx context.Context, snap *Snapshot, source, target g
 	if err != nil {
 		return nil, RunStats{}, err
 	}
-	res, err := snap.st.RunPlanCtx(ctx, plan, engine, true)
+	res, _, err := snap.st.Execute(ctx, plan, engine, snap.st.LocalLegs())
 	return res, RunStats{}, err
 }
